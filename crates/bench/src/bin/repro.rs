@@ -1,21 +1,18 @@
 //! `repro` — regenerate every table and figure of the PRO paper.
 //!
 //! ```text
-//! repro <command> [--full-scale] [--quick] [--jobs N] [--sm-workers N]
+//! repro <command> [--full-scale] [--quick] [--config FILE] [--jobs N]
 //! commands: config workloads fig1 fig2 fig4 fig5 table3 table4 ablation all
 //! ```
 //!
 //! `--full-scale` runs the exact Table II grid sizes (slow);
 //! `--quick` restricts kernel sweeps to one kernel per application.
+//! An unknown `--flag` prints the usage line and exits with status 2.
 //!
-//! Parallelism knobs — both are host-side only and never change results:
-//!
-//! * `--jobs N` runs independent (kernel × scheduler) simulations on `N`
-//!   pool threads (0 or unset = all cores). Output is byte-identical at
-//!   any `N` because results are collected in submission order.
-//! * `--sm-workers N` parallelizes the SM array *inside* each simulation
-//!   (the phase-split engine); counters and traces are bit-identical to
-//!   the serial engine.
+//! `--jobs N` runs independent (kernel × scheduler) simulations on `N`
+//! pool threads (0 or unset = all cores). It is host-side only: output is
+//! byte-identical at any `N` because results are collected in submission
+//! order.
 //!
 //! Long runs — checkpoint & resume (the `json` sweep):
 //!
@@ -44,8 +41,41 @@ use pro_core::SchedulerKind;
 use pro_sim::{GpuConfig, TraceOptions};
 use pro_workloads::{apps, registry, Scale, Workload};
 
+/// Every `--flag` repro understands.
+const FLAGS: [&str; 10] = [
+    "--full-scale",
+    "--quick",
+    "--config",
+    "--jobs",
+    "--checkpoint-path",
+    "--resume",
+    "--checkpoint-every",
+    "--checkpoint-delta",
+    "--checkpoint-keep",
+    "--heartbeat",
+];
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: repro <config|workloads|fig1|fig2|fig4|fig5|table3|table4|ablation|sweep|wld|cache|ready|occupancy|synthsweep|svg|json|shootout|dram|all> \
+         | disasm <kernel> | trace [kernel] [tl|lrr|gto|pro] | trace-report <file.jsonl> \
+         [--full-scale] [--quick] [--config FILE] [--jobs N] \
+         [--checkpoint-path DIR] [--checkpoint-every N] [--checkpoint-delta] \
+         [--checkpoint-keep N] [--resume DIR] [--heartbeat SECS]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A typo'd or retired flag must not silently run the defaults.
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("unknown flag `{bad}`");
+        usage();
+    }
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let scale = if args.iter().any(|a| a == "--full-scale") {
         Scale::Full
@@ -55,7 +85,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     // Optional --config <path>: override the simulated machine for every
     // experiment run in this invocation.
-    let mut machine_override: Option<GpuConfig> = None;
     if let Some(pos) = args.iter().position(|a| a == "--config") {
         let path = args
             .get(pos + 1)
@@ -65,21 +94,12 @@ fn main() {
             })
             .clone();
         match pro_sim::load_config(std::path::Path::new(&path)) {
-            Ok(cfg) => machine_override = Some(cfg),
+            Ok(cfg) => set_machine(cfg),
             Err(e) => {
                 eprintln!("{path}: {e}");
                 std::process::exit(2);
             }
         }
-    }
-    // Optional --sm-workers <N>: intra-run parallel engine width.
-    if let Some(n) = flag_value(&args, "--sm-workers") {
-        let mut cfg = machine_override.unwrap_or_else(GpuConfig::gtx480);
-        cfg.sm_workers = n;
-        machine_override = Some(cfg);
-    }
-    if let Some(cfg) = machine_override {
-        set_machine(cfg);
     }
     // Optional --jobs <N>: experiment-pool width (independent simulations).
     if let Some(n) = flag_value(&args, "--jobs") {
@@ -143,16 +163,7 @@ fn main() {
             synthsweep();
             dram_ablation(scale);
         }
-        _ => {
-            eprintln!(
-                "usage: repro <config|workloads|fig1|fig2|fig4|fig5|table3|table4|ablation|sweep|wld|cache|ready|occupancy|synthsweep|svg|json|shootout|dram|all> \
-                 | disasm <kernel> | trace [kernel] [tl|lrr|gto|pro] | trace-report <file.jsonl> \
-                 [--full-scale] [--quick] [--jobs N] [--sm-workers N] \
-                 [--checkpoint-path DIR] [--checkpoint-every N] [--checkpoint-delta] \
-                 [--checkpoint-keep N] [--resume DIR] [--heartbeat SECS]"
-            );
-            std::process::exit(2);
-        }
+        _ => usage(),
     }
 }
 

@@ -302,10 +302,7 @@ mod tests {
     use pro_workloads::registry;
 
     fn small_cfg() -> GpuConfig {
-        GpuConfig {
-            sm_workers: 1,
-            ..GpuConfig::small(4)
-        }
+        GpuConfig::small(4)
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {

@@ -20,8 +20,8 @@ pub const PAGE_BYTES: u64 = PAGE_WORDS as u64 * 4;
 /// catch, not mask.
 ///
 /// Every store path funnels through [`GlobalMem::write`] — ISA-interpreter
-/// stores on the serial engine directly, parallel-engine stores when the
-/// merge phase applies each SM's [`StoreLog`], and host-side buffer
+/// stores directly, simulated stores when the merge phase applies each
+/// SM's [`StoreLog`], and host-side buffer
 /// initialization — so the page-granular dirty bitmap maintained there is a
 /// complete record of what changed since the last [`DeltaSnapshot`]
 /// capture. The timing path (coalescer, L2 writebacks, DRAM fills) moves
@@ -207,9 +207,8 @@ impl DeltaSnapshot for GlobalMem {
 }
 
 /// Word-granular global-memory access, abstracted so the execution engine
-/// can run either directly against [`GlobalMem`] (the serial engine) or
-/// against a read-shared base plus a private store log ([`GmemStage`], the
-/// parallel SM phase).
+/// can run either directly against [`GlobalMem`] or against a read-only
+/// base plus a private store log ([`GmemStage`], the SM issue phase).
 pub trait GmemPort {
     /// Read the 32-bit word at byte address `addr`.
     fn read(&self, addr: u64) -> u32;
@@ -230,7 +229,7 @@ impl GmemPort for GlobalMem {
 }
 
 /// An ordered log of global-memory stores produced by one SM during the
-/// parallel phase of a cycle, applied to the real [`GlobalMem`] serially in
+/// issue phase of a cycle, applied to the real [`GlobalMem`] serially in
 /// SM-index order afterwards.
 #[derive(Debug, Default)]
 pub struct StoreLog {
@@ -274,8 +273,8 @@ impl StoreLog {
 /// [`StoreLog`]: writes are deferred into the log, reads see the SM's own
 /// writes from this cycle (newest first) layered over the base.
 ///
-/// This gives each SM exactly the memory semantics of the serial engine for
-/// its *own* accesses; the only divergence is that another SM's same-cycle
+/// This gives each SM exactly the memory semantics of a direct
+/// [`GlobalMem`] for its *own* accesses; the only divergence is that another SM's same-cycle
 /// stores become visible at the end of the cycle instead of mid-cycle.
 /// Race-free kernels (every CUDA kernel we model) cannot observe the
 /// difference, and the functional-equivalence tests in `pro-sim` check all

@@ -7,7 +7,7 @@
 //! per-section CRC-32). Restoring a snapshot into a freshly constructed
 //! [`crate::Gpu`] and continuing the run produces **bit-identical** results
 //! to the uninterrupted run: the same counters, the same stall attribution,
-//! the same trace bytes, on the serial and the parallel engine alike.
+//! the same trace bytes.
 //!
 //! See `DESIGN.md` §12 for the byte-level container specification.
 

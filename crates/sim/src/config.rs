@@ -63,9 +63,6 @@ pub fn parse_config(text: &str, base: GpuConfig) -> Result<GpuConfig, ConfigErro
         match key {
             "num_sms" => cfg.num_sms = as_u64()? as u32,
             "max_cycles" => cfg.max_cycles = as_u64()?,
-            // Host-side simulation knob (not a modelled parameter): results
-            // are bit-identical at any worker count.
-            "sm_workers" => cfg.sm_workers = as_u64()? as usize,
             // SM
             "max_warps_per_sm" => cfg.sm.max_warps = as_u64()? as usize,
             "max_tbs_per_sm" => cfg.sm.max_tbs = as_u64()? as usize,
@@ -131,6 +128,18 @@ pub fn parse_config(text: &str, base: GpuConfig) -> Result<GpuConfig, ConfigErro
     if cfg.mem.partitions == 0 {
         return Err(err(0, "partitions must be positive"));
     }
+    // SM limits: a zero limit never admits a thread block (the run spins
+    // toward `max_cycles`), and the issue path packs warp slots into u64
+    // bitsets.
+    if !(1..=64).contains(&cfg.sm.max_warps) {
+        return Err(err(0, "max_warps_per_sm must be between 1 and 64"));
+    }
+    if cfg.sm.max_tbs == 0 {
+        return Err(err(0, "max_tbs_per_sm must be positive"));
+    }
+    if cfg.sm.max_threads == 0 {
+        return Err(err(0, "max_threads_per_sm must be positive"));
+    }
     Ok(cfg)
 }
 
@@ -168,13 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn sm_workers_is_a_host_knob() {
-        let cfg = parse_config("sm_workers = 4", GpuConfig::gtx480()).unwrap();
-        assert_eq!(cfg.sm_workers, 4);
-        assert_eq!(GpuConfig::gtx480().sm_workers, 1);
-    }
-
-    #[test]
     fn l2_total_is_split_over_partitions() {
         let cfg = parse_config("l2_bytes_total = 786432", GpuConfig::gtx480()).unwrap();
         assert_eq!(cfg.mem.l2.bytes, 786432 / 6);
@@ -207,6 +209,29 @@ mod tests {
     fn zero_sms_rejected() {
         let e = parse_config("num_sms = 0", GpuConfig::gtx480()).unwrap_err();
         assert!(e.msg.contains("positive"));
+    }
+
+    #[test]
+    fn zero_or_oversized_warp_limit_rejected() {
+        for v in [0, 65, 96] {
+            let e = parse_config(&format!("max_warps_per_sm = {v}"), GpuConfig::gtx480())
+                .unwrap_err();
+            assert!(e.msg.contains("max_warps_per_sm"), "{v}: {}", e.msg);
+        }
+        let cfg = parse_config("max_warps_per_sm = 64", GpuConfig::gtx480()).unwrap();
+        assert_eq!(cfg.sm.max_warps, 64);
+    }
+
+    #[test]
+    fn zero_tb_limit_rejected() {
+        let e = parse_config("max_tbs_per_sm = 0", GpuConfig::gtx480()).unwrap_err();
+        assert!(e.msg.contains("max_tbs_per_sm"));
+    }
+
+    #[test]
+    fn zero_thread_limit_rejected() {
+        let e = parse_config("max_threads_per_sm = 0", GpuConfig::gtx480()).unwrap_err();
+        assert!(e.msg.contains("max_threads_per_sm"));
     }
 
     #[test]

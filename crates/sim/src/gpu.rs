@@ -2,18 +2,17 @@
 //! distribution engine" of §I), shared memory hierarchy, and the run loop
 //! that executes a kernel grid to completion.
 //!
-//! # Phase-split cycle and the parallel engine
+//! # The phase-split cycle
 //!
-//! Each simulated cycle runs in three phases (see `Sm::tick_traced`):
-//! a serial *memory phase* per SM in SM-index order (all interaction with
-//! the shared [`MemSubsystem`]), an SM-local *issue phase* (scheduling and
-//! execution against a read-only global-memory base, with stores and load
-//! registrations deferred into per-SM buffers), and a serial *merge phase*
-//! per SM in SM-index order (publishing the deferred effects). Because
-//! every cross-SM interaction happens in the serial phases in a fixed
-//! order, the issue phase can be fanned out across worker threads
-//! ([`GpuConfig::sm_workers`]) with **bit-identical** results — counters,
-//! stall attribution, and trace streams all match the serial engine.
+//! Each simulated cycle runs in three phases (see `Sm::tick_traced`), each
+//! a pass over the SM array in SM-index order: a *memory phase* (all
+//! interaction with the shared [`MemSubsystem`]), an SM-local *issue phase*
+//! (scheduling and execution against a read-only global-memory base, with
+//! stores and load registrations deferred into per-SM buffers), and a
+//! *merge phase* (publishing the deferred effects and replaying each SM's
+//! buffered events). This phase order fixes the order of every cross-SM
+//! interaction, and with it the golden output and trace bytes (`DESIGN.md`
+//! §11).
 
 use crate::checkpoint::{
     ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, ProgressEvent, SnapshotChain,
@@ -29,11 +28,9 @@ use pro_mem::{GlobalMem, MemConfig, MemSubsystem};
 use pro_sm::{Sm, SmConfig, SmStats, TickReport};
 use pro_trace::{
     mask_of, BufferTracer, Event as TraceEvent, EventClass, Hist16, HostPhase, HostProf,
-    IssueProf, NoopTracer, Tracer, WorkerProf,
+    IssueProf, NoopTracer, Tracer,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, RwLock};
 use std::time::Instant;
 
 /// Snapshot container section ids (see `DESIGN.md` §12).
@@ -58,11 +55,6 @@ pub struct GpuConfig {
     pub mem: MemConfig,
     /// Abort threshold for the run loop (simulator-bug guard).
     pub max_cycles: u64,
-    /// Worker threads for the per-cycle SM issue phase (1 = serial engine).
-    /// Any value produces bit-identical results; values above `num_sms` are
-    /// clamped. This is a host-side simulation knob, not a modelled
-    /// parameter, so it never affects simulated timing.
-    pub sm_workers: usize,
 }
 
 impl GpuConfig {
@@ -73,7 +65,6 @@ impl GpuConfig {
             sm: SmConfig::gtx480(),
             mem: MemConfig::gtx480(),
             max_cycles: 200_000_000,
-            sm_workers: 1,
         }
     }
 
@@ -107,8 +98,8 @@ pub struct TraceOptions {
     /// cycles (0 = off) — drives the occupancy heatmap.
     pub utilization_period: u64,
     /// Enable the host-side phase profiler (`pro_trace::prof`): wall-clock
-    /// per run-loop phase, worker busy/idle under `--sm-workers`, and the
-    /// memory-subsystem queue gauges, all published into the result's
+    /// per run-loop phase, the issue-path reuse counters, and the
+    /// memory-subsystem and LSU queue gauges, all published into the result's
     /// metrics registry under `host/*`. Host numbers vary run to run by
     /// nature, so the `host/` namespace is excluded from `RunResult`'s
     /// `Snapshot` encoding and from every byte-compare determinism gate.
@@ -364,9 +355,7 @@ impl Gpu {
     /// The full-generality launch: custom policy factory plus an external
     /// tracer on the event bus. All other launch methods delegate here.
     ///
-    /// Runs the phase-split engine described in the module docs; with
-    /// `cfg.sm_workers > 1` the per-cycle SM issue phase is distributed over
-    /// persistent worker threads with bit-identical results.
+    /// Runs the phase-split cycle described in the module docs.
     pub fn launch_custom_traced(
         &mut self,
         kernel: &Kernel,
@@ -414,9 +403,7 @@ impl Gpu {
     /// launch (the snapshot carries their identities and refuses a
     /// mismatch); `ckpt` may differ — e.g. resume with a new pause point.
     /// The continuation is bit-identical to the uninterrupted run: same
-    /// counters, same stall attribution, same trace bytes. `sm_workers`
-    /// is explicitly *not* part of the identity — a snapshot taken on the
-    /// serial engine resumes on the parallel engine and vice versa.
+    /// counters, same stall attribution, same trace bytes.
     pub fn resume(
         &mut self,
         snapshot: &GpuSnapshot,
@@ -645,21 +632,15 @@ impl Gpu {
         // Hoisted: one enabled() check per launch, not per cycle.
         let bus_on = recorder.enabled();
         // Per-SM cycle buffers answer `wants` from this snapshot of the
-        // recorder's subscriptions; replaying them contiguously per SM in
-        // index order reproduces the serial engine's event stream exactly.
+        // recorder's subscriptions; the merge phase replays them per SM in
+        // index order, which fixes the event stream's order.
         let buf_mask = mask_of(&recorder);
 
-        // Dismantle the SM array into per-worker lanes: contiguous chunks
-        // keep the SM-index iteration order identical at any worker count.
-        // Lanes exist even at sm_workers == 1 so traced/untraced and
-        // serial/parallel runs share one allocator profile and one code
-        // path for the serial phases.
-        let workers = self.cfg.sm_workers.max(1).min(num_sms.max(1));
-        let mut lane_vec: Vec<Lane> = self
-            .sms
-            .drain(..)
-            .map(|sm| Lane {
-                sm,
+        // Each SM's per-launch companions, in SM-index order. Every SM gets
+        // its event buffer whether or not anything is traced, so traced and
+        // untraced runs share one allocator profile and one code path.
+        let mut lanes: Vec<Lane> = (0..num_sms)
+            .map(|_| Lane {
                 policy: factory(),
                 report: TickReport::default(),
                 buf: BufferTracer::new(buf_mask),
@@ -667,12 +648,7 @@ impl Gpu {
             .collect();
         if let Some(fr) = &resume_fr {
             let meta = meta_loaded.as_ref().expect("META parsed with container");
-            // Restore each SM and its policy; on failure reassemble the SM
-            // array so the GPU survives a rejected resume.
-            if let Err(e) = restore_lanes(fr, meta, &mut lane_vec, chain_image.as_ref()) {
-                self.sms = lane_vec.into_iter().map(|l| l.sm).collect();
-                return Err(e);
-            }
+            restore_lanes(fr, meta, &mut self.sms, &mut lanes, chain_image.as_ref())?;
         }
         if chain_writer.is_some() {
             // Continuing the chain: the tip image the restore just applied
@@ -680,398 +656,221 @@ impl Gpu {
             // next delta against.
             chain_caps = chain_image;
         }
-        let mut chunks: Vec<Vec<Lane>> = Vec::with_capacity(workers);
-        {
-            let mut lanes: VecDeque<Lane> = lane_vec.into();
-            let per = num_sms.div_ceil(workers).max(1);
-            while !lanes.is_empty() {
-                let take = per.min(lanes.len());
-                chunks.push(lanes.drain(..take).collect());
+
+        // Initial fill happens inside the loop (1 TB per SM per cycle),
+        // mirroring the hardware work distributor.
+        loop {
+            let now = self.cycle;
+            let rel = now - start_cycle;
+            if rel > self.cfg.max_cycles {
+                return Err(SimError::Timeout {
+                    at_cycle: rel,
+                    pending_tbs: pending.len() as u32 + outstanding,
+                });
             }
-        }
+            let fast_phase = !pending.is_empty();
+            let mut pt = prof.start();
 
-        // Global memory moves behind an RwLock for the launch: workers read
-        // it during the issue phase, the main thread writes it in the merge
-        // phase. `GlobalMem::new(0)` allocates nothing.
-        let gmem_lock = RwLock::new(std::mem::replace(&mut self.gmem, GlobalMem::new(0)));
-
-        // Per-worker (busy_ns, idle_ns) drop boxes, filled once per worker
-        // at hang-up; empty on the serial engine so nothing is published.
-        let worker_prof_ns: Vec<(AtomicU64, AtomicU64)> = if chunks.len() > 1 {
-            (0..chunks.len()).map(|_| (AtomicU64::new(0), AtomicU64::new(0))).collect()
-        } else {
-            Vec::new()
-        };
-
-        let loop_result: Result<Option<GpuSnapshot>, SimError> = std::thread::scope(|scope| {
-            // Persistent issue-phase workers (parallel engine only). Each
-            // owns a job/result channel pair; lanes round-trip through the
-            // channels every cycle, and results are collected in worker
-            // order so lane order never depends on thread timing.
-            type Job = (u64, bool, Vec<Lane>);
-            struct WorkerLink {
-                job: mpsc::Sender<Job>,
-                res: mpsc::Receiver<Vec<Lane>>,
+            // Memory phase: the shared subsystem ticks, then each SM
+            // interacts with it serially in SM-index order. Events land in
+            // the per-SM buffer, ahead of the same SM's issue-phase events.
+            if bus_on {
+                self.mem.tick_traced(now, &mut recorder);
+            } else {
+                self.mem.tick(now);
             }
-            let mut links: Vec<WorkerLink> = Vec::new();
-            if chunks.len() > 1 {
-                let prof_on = trace.host_prof;
-                for wi in 0..chunks.len() {
-                    let (job_tx, job_rx) = mpsc::channel::<Job>();
-                    let (res_tx, res_rx) = mpsc::channel::<Vec<Lane>>();
-                    let gmem_lock = &gmem_lock;
-                    let accum = &worker_prof_ns[wi];
-                    scope.spawn(move || {
-                        // Blocking recv: std's mpsc spins briefly before
-                        // parking, so the per-cycle round-trip stays cheap
-                        // when cores are free, and an oversubscribed host
-                        // (workers > cores) degrades gracefully instead of
-                        // burning the cores the main thread needs.
-                        //
-                        // Busy/idle accounting stays in thread-local u64s
-                        // (two clock reads per cycle when profiled, zero
-                        // otherwise) and lands in the shared atomics once,
-                        // at hang-up.
-                        let mut busy_ns = 0u64;
-                        let mut idle_ns = 0u64;
-                        let mut wait_from = if prof_on { Some(Instant::now()) } else { None };
-                        while let Ok((now, fast_phase, mut lanes)) = job_rx.recv() {
-                            let run_from = wait_from.map(|w| {
-                                let t = Instant::now();
-                                idle_ns += t.duration_since(w).as_nanos() as u64;
-                                t
-                            });
-                            {
-                                let g = gmem_lock.read().expect("gmem lock");
-                                for lane in &mut lanes {
-                                    lane.sm.issue_phase_traced(
-                                        now,
-                                        &g,
-                                        lane.policy.as_mut(),
-                                        fast_phase,
-                                        &mut lane.report,
-                                        &mut lane.buf,
-                                    );
-                                }
-                            }
-                            if res_tx.send(lanes).is_err() {
-                                break;
-                            }
-                            wait_from = run_from.map(|r| {
-                                let t = Instant::now();
-                                busy_ns += t.duration_since(r).as_nanos() as u64;
-                                t
-                            });
-                        }
-                        if prof_on {
-                            accum.0.fetch_add(busy_ns, Ordering::Relaxed);
-                            accum.1.fetch_add(idle_ns, Ordering::Relaxed);
-                        }
-                    });
-                    links.push(WorkerLink { job: job_tx, res: res_rx });
-                }
+            for (sm, lane) in self.sms.iter_mut().zip(&mut lanes) {
+                sm.mem_phase_traced(now, &mut self.mem, &mut lane.buf);
             }
+            prof.lap(HostPhase::Mem, &mut pt);
 
-            // Initial fill happens inside the loop (1 TB per SM per cycle),
-            // mirroring the hardware work distributor.
-            loop {
-                let now = self.cycle;
-                let rel = now - start_cycle;
-                if rel > self.cfg.max_cycles {
-                    return Err(SimError::Timeout {
-                        at_cycle: rel,
-                        pending_tbs: pending.len() as u32 + outstanding,
-                    });
-                }
-                let fast_phase = !pending.is_empty();
-                let mut pt = prof.start();
+            // Issue phase: SM-local, against a read-only global memory.
+            for (sm, lane) in self.sms.iter_mut().zip(&mut lanes) {
+                sm.issue_phase_traced(
+                    now,
+                    &self.gmem,
+                    lane.policy.as_mut(),
+                    fast_phase,
+                    &mut lane.report,
+                    &mut lane.buf,
+                );
+            }
+            prof.lap(HostPhase::Issue, &mut pt);
 
-                // Memory phase: the shared subsystem ticks, then each SM
-                // interacts with it serially in SM-index order. Events land
-                // in the per-SM buffer so the issue phase can append to the
-                // same stream off-thread.
+            // Merge phase: serial in SM-index order — replay the cycle's
+            // buffered events, publish deferred loads and stores.
+            for (sm, lane) in self.sms.iter_mut().zip(&mut lanes) {
                 if bus_on {
-                    self.mem.tick_traced(now, &mut recorder);
-                } else {
-                    self.mem.tick(now);
+                    lane.buf.replay_into(&mut recorder);
                 }
-                for lanes in chunks.iter_mut() {
-                    for lane in lanes.iter_mut() {
-                        lane.sm.mem_phase_traced(now, &mut self.mem, &mut lane.buf);
-                    }
-                }
-                prof.lap(HostPhase::Mem, &mut pt);
+                sm.merge_phase(now, &mut self.gmem, &mut self.mem);
+                outstanding -= lane.report.finished_tbs.len() as u32;
+                lane.report.finished_tbs.clear();
+            }
 
-                // Issue phase: SM-local, fanned out across workers.
-                if links.is_empty() {
-                    let g = gmem_lock.read().expect("gmem lock");
-                    for lanes in chunks.iter_mut() {
-                        for lane in lanes.iter_mut() {
-                            lane.sm.issue_phase_traced(
-                                now,
-                                &g,
-                                lane.policy.as_mut(),
-                                fast_phase,
-                                &mut lane.report,
-                                &mut lane.buf,
-                            );
-                        }
+            // Thread block scheduler: at most one TB per SM per cycle,
+            // round-robin over SMs.
+            if !pending.is_empty() {
+                for k in 0..num_sms {
+                    if pending.is_empty() {
+                        break;
                     }
-                } else {
-                    for (link, lanes) in links.iter().zip(chunks.iter_mut()) {
-                        let job = (now, fast_phase, std::mem::take(lanes));
-                        link.job.send(job).expect("issue worker alive");
-                    }
-                    for (link, lanes) in links.iter().zip(chunks.iter_mut()) {
-                        *lanes = link.res.recv().expect("issue worker alive");
+                    let i = (rr_next_sm + k) % num_sms;
+                    if self.sms[i].can_accept_tb() {
+                        let g = pending.pop_front().expect("non-empty");
+                        let fast_after = !pending.is_empty();
+                        self.sms[i].launch_tb_traced(
+                            g,
+                            now,
+                            lanes[i].policy.as_mut(),
+                            fast_after,
+                            &mut recorder,
+                        );
+                        outstanding += 1;
                     }
                 }
-                prof.lap(HostPhase::Issue, &mut pt);
+                rr_next_sm = (rr_next_sm + 1) % num_sms;
+            }
 
-                // Merge phase: serial in SM-index order — replay the cycle's
-                // buffered events, publish deferred loads and stores.
-                {
-                    let mut g = gmem_lock.write().expect("gmem lock");
-                    for lanes in chunks.iter_mut() {
-                        for lane in lanes.iter_mut() {
-                            if bus_on {
-                                lane.buf.replay_into(&mut recorder);
-                            }
-                            lane.sm.merge_phase(now, &mut g, &mut self.mem);
-                            outstanding -= lane.report.finished_tbs.len() as u32;
-                            lane.report.finished_tbs.clear();
-                        }
-                    }
-                }
-
-                // Thread block scheduler: at most one TB per SM per cycle,
-                // round-robin over SMs.
-                if !pending.is_empty() {
-                    for k in 0..num_sms {
-                        if pending.is_empty() {
-                            break;
-                        }
-                        let i = (rr_next_sm + k) % num_sms;
-                        let lane = lane_mut(&mut chunks, i);
-                        if lane.sm.can_accept_tb() {
-                            let g = pending.pop_front().expect("non-empty");
-                            let fast_after = !pending.is_empty();
-                            lane.sm.launch_tb_traced(
-                                g,
-                                now,
-                                lane.policy.as_mut(),
-                                fast_after,
-                                &mut recorder,
-                            );
-                            outstanding += 1;
-                        }
-                    }
-                    rr_next_sm = (rr_next_sm + 1) % num_sms;
-                }
-
-                // Table IV sampling. This stays a direct policy poll (not a
-                // bus subscription): it reads the scheduler's internal
-                // priority state, which no event carries.
-                if trace.tb_order_period > 0 && now - last_order_sample >= trace.tb_order_period {
-                    last_order_sample = now;
-                    let lane = lane_mut(&mut chunks, trace.tb_order_sm as usize);
-                    let view = lane.sm.sched_view(now, fast_phase);
-                    if let Some(order) = lane.policy.tb_priority_trace(&view) {
-                        if !order.is_empty() {
-                            tb_order.push(TbOrderSnapshot {
-                                cycle: now - start_cycle,
-                                order,
-                            });
-                        }
-                    }
-                }
-
-                self.cycle += 1;
-                prof.lap(HostPhase::Merge, &mut pt);
-                if pending.is_empty() && outstanding == 0 {
-                    // Dropping `links` hangs up the job channels; workers
-                    // observe the disconnect and exit before the scope
-                    // joins them.
-                    return Ok(None);
-                }
-
-                // Checkpoint boundary: end of cycle, every lane back on the
-                // main thread, all deferred effects merged — the one point
-                // where the simulator's state is closed under snapshot.
-                let rel_after = self.cycle - start_cycle;
-                let pause = ckpt.pause_at > 0 && rel_after >= ckpt.pause_at;
-                let boundary = pause || (ckpt.every > 0 && rel_after.is_multiple_of(ckpt.every));
-                if boundary {
-                    let mut st = prof.start();
-                    if ckpt.delta {
-                        let periodic =
-                            ckpt.every > 0 && rel_after.is_multiple_of(ckpt.every);
-                        // Delta chain, driven purely by the periodic
-                        // interval: a full base anchors the chain (first
-                        // boundary, or keep-cap rollover); every other
-                        // boundary appends only the dirty gmem pages. The
-                        // capture ends with mark_clean under the write
-                        // lock (workers are parked between cycles) so the
-                        // next delta starts from this boundary. A pause
-                        // returns a standalone full snapshot and leaves
-                        // the chain exactly as the periodic schedule built
-                        // it — when the pause lands on a periodic
-                        // boundary, chain tip and pause snapshot describe
-                        // the same cycle.
-                        if periodic {
-                            let dir = ckpt.path.as_ref().expect("validated above");
-                            let io = |e: std::io::Error| {
-                                SimError::CheckpointIo(format!("{}: {e}", dir.display()))
-                            };
-                            let mut g = gmem_lock.write().expect("gmem lock");
-                            let full_due = match &chain_writer {
-                                None => true,
-                                Some(w) => w.due_rollover(),
-                            };
-                            let mode = if full_due {
-                                CaptureMode::ChainBase
-                            } else {
-                                let w = chain_writer.as_ref().expect("chain started");
-                                CaptureMode::ChainDelta {
-                                    sequence: w.next_seq(),
-                                    parent_crc: w.last_crc(),
-                                    prev: chain_caps
-                                        .as_ref()
-                                        .expect("chain started with an image"),
-                                }
-                            };
-                            let (bytes, caps) = build_snapshot(
-                                &self.cfg,
-                                kernel,
-                                self.cycle,
-                                start_cycle,
-                                &pending,
-                                outstanding,
-                                rr_next_sm,
-                                &tb_order,
-                                last_order_sample,
-                                &recorder,
-                                &g,
-                                &self.mem,
-                                &chunks,
-                                mode,
-                            );
-                            let snap = GpuSnapshot::from_bytes(bytes);
-                            if full_due {
-                                match &mut chain_writer {
-                                    None => {
-                                        chain_writer = Some(
-                                            ChainWriter::start(dir, &snap, ckpt.keep)
-                                                .map_err(io)?,
-                                        )
-                                    }
-                                    Some(w) => w.rollover(&snap).map_err(io)?,
-                                }
-                            } else {
-                                chain_writer
-                                    .as_mut()
-                                    .expect("chain started")
-                                    .append(&snap)
-                                    .map_err(io)?;
-                            }
-                            chain_caps = caps;
-                            g.mark_clean();
-                        }
-                        if pause {
-                            let g = gmem_lock.read().expect("gmem lock");
-                            let snap = GpuSnapshot::from_bytes(
-                                build_snapshot(
-                                    &self.cfg,
-                                    kernel,
-                                    self.cycle,
-                                    start_cycle,
-                                    &pending,
-                                    outstanding,
-                                    rr_next_sm,
-                                    &tb_order,
-                                    last_order_sample,
-                                    &recorder,
-                                    &g,
-                                    &self.mem,
-                                    &chunks,
-                                    CaptureMode::Full,
-                                )
-                                .0,
-                            );
-                            drop(g);
-                            prof.lap(HostPhase::SnapshotWrite, &mut st);
-                            return Ok(Some(snap));
-                        }
-                        prof.lap(HostPhase::SnapshotWrite, &mut st);
-                    } else {
-                        let snap = {
-                            let g = gmem_lock.read().expect("gmem lock");
-                            GpuSnapshot::from_bytes(
-                                build_snapshot(
-                                    &self.cfg,
-                                    kernel,
-                                    self.cycle,
-                                    start_cycle,
-                                    &pending,
-                                    outstanding,
-                                    rr_next_sm,
-                                    &tb_order,
-                                    last_order_sample,
-                                    &recorder,
-                                    &g,
-                                    &self.mem,
-                                    &chunks,
-                                    CaptureMode::Full,
-                                )
-                                .0,
-                            )
-                        };
-                        if let Some(path) = &ckpt.path {
-                            snap.write_to(path).map_err(|e| {
-                                SimError::CheckpointIo(format!("{}: {e}", path.display()))
-                            })?;
-                        }
-                        prof.lap(HostPhase::SnapshotWrite, &mut st);
-                        if pause {
-                            return Ok(Some(snap));
-                        }
-                    }
-                }
-
-                // Heartbeat boundary: purely observational, decoupled from
-                // checkpointing so a sweep is watchable without snapshots.
-                if ckpt.progress_every > 0 && rel_after.is_multiple_of(ckpt.progress_every) {
-                    if let Some(cb) = &ckpt.progress {
-                        cb(ProgressEvent {
-                            cycles: rel_after,
-                            checkpointed: boundary && ckpt.path.is_some(),
+            // Table IV sampling. This stays a direct policy poll (not a bus
+            // subscription): it reads the scheduler's internal priority
+            // state, which no event carries.
+            if trace.tb_order_period > 0 && now - last_order_sample >= trace.tb_order_period {
+                last_order_sample = now;
+                let i = trace.tb_order_sm as usize;
+                let view = self.sms[i].sched_view(now, fast_phase);
+                if let Some(order) = lanes[i].policy.tb_priority_trace(&view) {
+                    if !order.is_empty() {
+                        tb_order.push(TbOrderSnapshot {
+                            cycle: now - start_cycle,
+                            order,
                         });
                     }
                 }
             }
-        });
 
-        // Reassemble the GPU before reporting anything (including errors),
-        // restoring SM-index order from the contiguous chunks.
-        self.gmem = gmem_lock.into_inner().expect("gmem lock");
-        let mut scheduler_name = "";
-        let mut per_sm: Vec<SmStats> = Vec::with_capacity(num_sms);
-        for lanes in chunks {
-            for lane in lanes {
-                if self.sms.is_empty() {
-                    scheduler_name = lane.policy.name();
+            self.cycle += 1;
+            prof.lap(HostPhase::Merge, &mut pt);
+            if pending.is_empty() && outstanding == 0 {
+                break;
+            }
+
+            // Checkpoint boundary: end of cycle, all deferred effects merged
+            // — the one point where the simulator's state is closed under
+            // snapshot.
+            let rel_after = self.cycle - start_cycle;
+            let pause = ckpt.pause_at > 0 && rel_after >= ckpt.pause_at;
+            let periodic = ckpt.every > 0 && rel_after.is_multiple_of(ckpt.every);
+            let boundary = pause || periodic;
+            if boundary {
+                let mut st = prof.start();
+                let capture = |gmem: &GlobalMem, mode: CaptureMode<'_>| {
+                    build_snapshot(
+                        &self.cfg,
+                        kernel,
+                        self.cycle,
+                        start_cycle,
+                        &pending,
+                        outstanding,
+                        rr_next_sm,
+                        &tb_order,
+                        last_order_sample,
+                        &recorder,
+                        gmem,
+                        &self.mem,
+                        &self.sms,
+                        &lanes,
+                        mode,
+                    )
+                };
+                if ckpt.delta {
+                    // Delta chain, driven purely by the periodic interval: a
+                    // full base anchors the chain (first boundary, or
+                    // keep-cap rollover); every other boundary appends only
+                    // the dirty gmem pages. The capture ends with
+                    // mark_clean so the next delta starts from this
+                    // boundary. A pause returns a standalone full snapshot
+                    // and leaves the chain exactly as the periodic schedule
+                    // built it — when the pause lands on a periodic
+                    // boundary, chain tip and pause snapshot describe the
+                    // same cycle.
+                    if periodic {
+                        let dir = ckpt.path.as_ref().expect("validated above");
+                        let io = |e: std::io::Error| {
+                            SimError::CheckpointIo(format!("{}: {e}", dir.display()))
+                        };
+                        let full_due = match &chain_writer {
+                            None => true,
+                            Some(w) => w.due_rollover(),
+                        };
+                        let mode = if full_due {
+                            CaptureMode::ChainBase
+                        } else {
+                            let w = chain_writer.as_ref().expect("chain started");
+                            CaptureMode::ChainDelta {
+                                sequence: w.next_seq(),
+                                parent_crc: w.last_crc(),
+                                prev: chain_caps.as_ref().expect("chain started with an image"),
+                            }
+                        };
+                        let (bytes, caps) = capture(&self.gmem, mode);
+                        let snap = GpuSnapshot::from_bytes(bytes);
+                        if full_due {
+                            match &mut chain_writer {
+                                None => {
+                                    chain_writer =
+                                        Some(ChainWriter::start(dir, &snap, ckpt.keep).map_err(io)?)
+                                }
+                                Some(w) => w.rollover(&snap).map_err(io)?,
+                            }
+                        } else {
+                            chain_writer
+                                .as_mut()
+                                .expect("chain started")
+                                .append(&snap)
+                                .map_err(io)?;
+                        }
+                        chain_caps = caps;
+                        self.gmem.mark_clean();
+                    }
+                    if pause {
+                        let snap = GpuSnapshot::from_bytes(capture(&self.gmem, CaptureMode::Full).0);
+                        prof.lap(HostPhase::SnapshotWrite, &mut st);
+                        return Ok(LaunchStatus::Paused(snap));
+                    }
+                    prof.lap(HostPhase::SnapshotWrite, &mut st);
+                } else {
+                    let snap = GpuSnapshot::from_bytes(capture(&self.gmem, CaptureMode::Full).0);
+                    if let Some(path) = &ckpt.path {
+                        snap.write_to(path).map_err(|e| {
+                            SimError::CheckpointIo(format!("{}: {e}", path.display()))
+                        })?;
+                    }
+                    prof.lap(HostPhase::SnapshotWrite, &mut st);
+                    if pause {
+                        // Paused mid-grid: no kernel-end event (the resumed
+                        // run emits it), no result — the snapshot is the
+                        // deliverable. The GPU itself also holds the paused
+                        // state and could continue.
+                        return Ok(LaunchStatus::Paused(snap));
+                    }
                 }
-                per_sm.push(lane.sm.stats);
-                self.sms.push(lane.sm);
+            }
+
+            // Heartbeat boundary: purely observational, decoupled from
+            // checkpointing so a sweep is watchable without snapshots.
+            if ckpt.progress_every > 0 && rel_after.is_multiple_of(ckpt.progress_every) {
+                if let Some(cb) = &ckpt.progress {
+                    cb(ProgressEvent {
+                        cycles: rel_after,
+                        checkpointed: boundary && ckpt.path.is_some(),
+                    });
+                }
             }
         }
-        if let Some(snap) = loop_result? {
-            // Paused mid-grid: no kernel-end event (the resumed run emits
-            // it), no result — the snapshot is the deliverable. The GPU
-            // itself also holds the paused state and could continue.
-            return Ok(LaunchStatus::Paused(snap));
-        }
 
+        let scheduler_name = lanes.first().map_or("", |l| l.policy.name());
+        let per_sm: Vec<SmStats> = self.sms.iter().map(|sm| sm.stats).collect();
         let cycles = self.cycle - start_cycle;
         recorder.on_kernel_end(&kernel.program.name, self.cycle, cycles);
         let (timeline, utilization) = recorder.finish_util();
@@ -1094,11 +893,6 @@ impl Gpu {
         result.snapshot_metrics();
         if trace.host_prof {
             prof.publish(&mut result.metrics);
-            let mut wp = WorkerProf::default();
-            for (busy, idle) in &worker_prof_ns {
-                wp.add(busy.load(Ordering::Relaxed), idle.load(Ordering::Relaxed));
-            }
-            wp.publish(&mut result.metrics);
             self.mem.queue_prof().publish(&mut result.metrics);
             let mut lsu_hwm = 0u64;
             let mut lsu_depth = Hist16::new();
@@ -1223,16 +1017,6 @@ struct Meta {
     start_cycle: u64,
 }
 
-/// Canonical machine-identity string: the config's `Debug` rendering with
-/// `sm_workers` zeroed out, because worker count is a host-side knob that
-/// never affects simulated state — snapshots migrate freely between the
-/// serial and parallel engines.
-fn config_identity(cfg: &GpuConfig) -> String {
-    let mut c = *cfg;
-    c.sm_workers = 0;
-    format!("{c:?}")
-}
-
 impl Meta {
     fn of(cfg: &GpuConfig, kernel: &Kernel, scheduler: &str, cycle: u64, start_cycle: u64) -> Meta {
         Meta {
@@ -1248,7 +1032,7 @@ impl Meta {
                 kernel.launch.block.z,
             ),
             params: kernel.params.clone(),
-            config: config_identity(cfg),
+            config: format!("{cfg:?}"),
             num_sms: cfg.num_sms,
             scheduler: scheduler.to_string(),
             cycle,
@@ -1319,8 +1103,8 @@ impl Meta {
 }
 
 /// Serialize the complete in-flight launch into a snapshot container.
-/// Called at the end-of-cycle checkpoint boundary, when every lane is on
-/// the main thread and all deferred effects are merged.
+/// Called at the end-of-cycle checkpoint boundary, when all deferred
+/// effects are merged.
 ///
 /// In [`CaptureMode::ChainDelta`] the container is a chain link: global
 /// memory is encoded as only the pages dirtied since the previous capture
@@ -1346,10 +1130,11 @@ fn build_snapshot(
     recorder: &Recorder<'_>,
     gmem: &GlobalMem,
     mem: &MemSubsystem,
-    chunks: &[Vec<Lane>],
+    sms: &[Sm],
+    lanes: &[Lane],
     mode: CaptureMode<'_>,
 ) -> (Vec<u8>, Option<ChainImage>) {
-    let scheduler = chunks[0][0].policy.name();
+    let scheduler = lanes[0].policy.name();
     let mut f = match mode {
         CaptureMode::Full | CaptureMode::ChainBase => FileWriter::new(),
         CaptureMode::ChainDelta {
@@ -1388,15 +1173,16 @@ fn build_snapshot(
     mem.save_snapshot(&mut w);
     let mem_image = w.into_bytes();
 
-    let mut sm_images: Vec<Vec<u8>> = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for lanes in chunks {
-        for lane in lanes {
+    let sm_images: Vec<Vec<u8>> = sms
+        .iter()
+        .zip(lanes)
+        .map(|(sm, lane)| {
             let mut w = Writer::new();
-            lane.sm.save_snapshot(&mut w);
+            sm.save_snapshot(&mut w);
             lane.policy.save_state(&mut w);
-            sm_images.push(w.into_bytes());
-        }
-    }
+            w.into_bytes()
+        })
+        .collect();
 
     match mode {
         CaptureMode::ChainDelta { prev, .. } => {
@@ -1443,6 +1229,7 @@ fn build_snapshot(
 fn restore_lanes(
     fr: &FileReader,
     meta: &Meta,
+    sms: &mut [Sm],
     lanes: &mut [Lane],
     image: Option<&ChainImage>,
 ) -> Result<(), SimError> {
@@ -1453,38 +1240,24 @@ fn restore_lanes(
             meta.scheduler
         ))));
     }
-    for (i, lane) in lanes.iter_mut().enumerate() {
+    for (i, (sm, lane)) in sms.iter_mut().zip(lanes).enumerate() {
         let mut r = match image {
             Some(img) => Reader::new(&img.sms[i]),
             None => fr.section(SEC_SM_BASE + i as u32)?,
         };
-        lane.sm.restore_snapshot(&mut r)?;
+        sm.restore_snapshot(&mut r)?;
         lane.policy.load_state(&mut r)?;
         r.finish()?;
     }
     Ok(())
 }
 
-/// One SM's worth of per-launch state, bundled so it can migrate to an
-/// issue-phase worker thread and back as a unit.
+/// The per-launch state that rides along with one SM.
 struct Lane {
-    sm: Sm,
     policy: Box<dyn WarpScheduler>,
     report: TickReport,
     /// This cycle's event buffer, replayed into the real tracer at merge.
     buf: BufferTracer,
-}
-
-/// The lane holding SM `idx` (chunks partition the SM array contiguously).
-fn lane_mut(chunks: &mut [Vec<Lane>], idx: usize) -> &mut Lane {
-    let mut i = idx;
-    for c in chunks.iter_mut() {
-        if i < c.len() {
-            return &mut c[i];
-        }
-        i -= c.len();
-    }
-    unreachable!("SM index {idx} out of range")
 }
 
 #[cfg(test)]

@@ -248,8 +248,8 @@ pub struct Sm {
     access_map: FxHashMap<AccessId, (usize, WriteSet)>,
     next_access: AccessId,
     // Deferred cross-SM effects of the issue phase, published by
-    // [`Sm::merge_phase`] in SM-index order so the issue phase can run on a
-    // worker thread without touching shared state.
+    // [`Sm::merge_phase`] in SM-index order so the issue phase never
+    // touches shared state.
     load_intents: Vec<(AccessId, u32)>,
     store_log: StoreLog,
     /// Cycle each TB slot's first warp finished (WLD tracking).
@@ -767,8 +767,8 @@ impl Sm {
     /// [`Sm::tick`] publishing issue/stall, scoreboard, barrier, SIMT, TB
     /// and memory-lifecycle events to `tracer`.
     ///
-    /// Composition of the three cycle phases; the parallel engine calls them
-    /// individually so the issue phase can run on a worker thread:
+    /// Composition of the three cycle phases; the GPU run loop calls them
+    /// individually, each as one pass over the SM array:
     ///
     /// 1. [`Sm::mem_phase_traced`] — serial, in SM-index order: drains
     ///    completions from and pushes line accesses into the shared
@@ -869,7 +869,7 @@ impl Sm {
     /// Touches only this SM's state plus a *read-only* view of global memory:
     /// stores are staged in the SM's [`StoreLog`] and new load registrations
     /// in its intent buffer, both published later by [`Sm::merge_phase`].
-    /// Safe to run concurrently across SMs.
+    /// So no SM's issue phase can observe another SM's same-cycle effects.
     pub fn issue_phase_traced(
         &mut self,
         now: u64,
@@ -1415,8 +1415,7 @@ impl Sm {
         // the masks from the restored warps and drop the order caches (the
         // scheduler policies invalidate or restore their dirty bits
         // symmetrically, so the first post-restore cycle recomputes the
-        // same orders the donor engine held — including across
-        // `--sm-workers` migration).
+        // same orders the uninterrupted run held).
         self.rebuild_issue_masks();
         Ok(())
     }

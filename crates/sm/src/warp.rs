@@ -214,8 +214,8 @@ impl Warp {
     /// barrier.
     ///
     /// Generic over [`GmemPort`] so the same execution path runs against
-    /// the real [`pro_mem::GlobalMem`] (serial engine) or a staged view
-    /// ([`pro_mem::GmemStage`], parallel SM phase).
+    /// the real [`pro_mem::GlobalMem`] or a staged view
+    /// ([`pro_mem::GmemStage`], the SM issue phase).
     pub fn execute<G: GmemPort>(
         &mut self,
         program: &Program,

@@ -52,7 +52,7 @@ pub use chrome::chrome_trace;
 pub use event::{req_id, ClassSet, Event, EventClass, Record, ReqId, StallReason};
 pub use json::Json;
 pub use metrics::{Hist16, Metrics};
-pub use prof::{HostPhase, HostProf, IssueProf, PhaseTimer, WorkerProf};
+pub use prof::{HostPhase, HostProf, IssueProf, PhaseTimer};
 pub use report::{aggregate, KernelReport};
 pub use tracer::{
     count_unit_stalls, mask_of, write_event_jsonl, BufferTracer, JsonlTracer, NoopTracer,

@@ -3,7 +3,7 @@
 //! The event bus and metrics registry observe the *simulated* GPU; this
 //! module points the same discipline inward at the *simulator*: where does
 //! host time go each cycle (mem phase vs issue phase vs merge vs snapshot
-//! writes), and how busy are the `--sm-workers` threads?
+//! writes)?
 //!
 //! Design constraints, mirroring the tracer bus:
 //!
@@ -21,8 +21,7 @@
 //!   encoding and the byte-compare gates explicitly exclude.
 //!
 //! Published names: `host/phase.<name>.ns` / `.calls` counters plus a
-//! `host/phase.<name>` histogram of per-call nanoseconds, and
-//! `host/worker.busy.ns` / `host/worker.idle.ns` totals across workers.
+//! `host/phase.<name>` histogram of per-call nanoseconds.
 
 use std::time::Instant;
 
@@ -33,8 +32,7 @@ use crate::metrics::{Hist16, Metrics};
 pub enum HostPhase {
     /// Serial memory phase: `MemSubsystem::tick` plus per-SM `mem_phase`.
     Mem = 0,
-    /// Issue phase: serial in-place, or the fan-out/fan-in round trip to
-    /// the worker threads under `--sm-workers`.
+    /// Issue phase: per-SM scheduling and instruction issue.
     Issue = 1,
     /// Serial merge phase: store-log replay, TB scheduler, sampling.
     Merge = 2,
@@ -105,8 +103,7 @@ impl HostProf {
         }
     }
 
-    /// Record a pre-measured sample (used by worker threads that keep
-    /// local accumulators and fold in at join time).
+    /// Record a pre-measured sample.
     #[inline]
     pub fn record(&mut self, phase: HostPhase, ns: u64) {
         let p = phase as usize;
@@ -176,36 +173,6 @@ impl IssueProf {
     }
 }
 
-/// Per-worker busy/idle accumulators for the `--sm-workers` threads.
-///
-/// Workers time each job (busy) and each wait on the fan-out channel
-/// (idle) into thread-local `u64`s, then fold them in here at scope join —
-/// no atomics or clock reads are shared across threads mid-run.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerProf {
-    /// Per-worker `(busy_ns, idle_ns)` totals.
-    pub per_worker: Vec<(u64, u64)>,
-}
-
-impl WorkerProf {
-    /// Fold one worker's totals in (called once per worker at join).
-    pub fn add(&mut self, busy_ns: u64, idle_ns: u64) {
-        self.per_worker.push((busy_ns, idle_ns));
-    }
-
-    /// Publish summed busy/idle plus the worker count under `host/worker.*`.
-    pub fn publish(&self, m: &mut Metrics) {
-        if self.per_worker.is_empty() {
-            return;
-        }
-        let busy: u64 = self.per_worker.iter().map(|w| w.0).sum();
-        let idle: u64 = self.per_worker.iter().map(|w| w.1).sum();
-        m.set_counter("host/worker.count", self.per_worker.len() as u64);
-        m.set_counter("host/worker.busy.ns", busy);
-        m.set_counter("host/worker.idle.ns", idle);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,7 +183,7 @@ mod tests {
         let mut t = p.start();
         p.lap(HostPhase::Mem, &mut t);
         p.record(HostPhase::Issue, 100);
-        // `record` is unconditional by design (workers gate on `enabled`
+        // `record` is unconditional by design (callers gate on `enabled`
         // before accumulating); only the timer path is disarmed.
         assert_eq!(p.total_ns(HostPhase::Mem), 0);
         let mut m = Metrics::new();
@@ -251,17 +218,5 @@ mod tests {
         assert_eq!(m.counter("host/issue/orders_reused"), Some(15));
         assert_eq!(m.counter("host/issue/orders_recomputed"), Some(3));
         assert_eq!(m.counter("host/issue/mask_skips"), Some(10));
-    }
-
-    #[test]
-    fn worker_prof_sums_across_workers() {
-        let mut w = WorkerProf::default();
-        w.add(100, 10);
-        w.add(200, 20);
-        let mut m = Metrics::new();
-        w.publish(&mut m);
-        assert_eq!(m.counter("host/worker.count"), Some(2));
-        assert_eq!(m.counter("host/worker.busy.ns"), Some(300));
-        assert_eq!(m.counter("host/worker.idle.ns"), Some(30));
     }
 }

@@ -154,7 +154,7 @@ impl Tracer for RingTracer {
 
 /// Snapshot which classes `t` currently wants, as a [`ClassSet`].
 ///
-/// Lets an intermediary (like the parallel engine's per-SM buffers) answer
+/// Lets an intermediary (like the simulator's per-SM event buffers) answer
 /// `wants` without a per-event virtual call into the downstream tracer.
 pub fn mask_of(t: &dyn Tracer) -> ClassSet {
     const ALL: [EventClass; 7] = [
@@ -179,9 +179,10 @@ pub fn mask_of(t: &dyn Tracer) -> ClassSet {
 
 /// An ordered, unbounded-capacity event buffer for deferred replay.
 ///
-/// The parallel engine gives each SM one of these for the concurrent issue
-/// phase; afterwards the buffers are replayed into the real tracer in
-/// SM-index order, reproducing the exact event stream of the serial engine.
+/// The simulator gives each SM one of these per cycle: the memory and issue
+/// phases append to it, and the merge phase replays the buffers into the
+/// real tracer in SM-index order. That replay order is part of the trace's
+/// byte-level contract (`DESIGN.md` §11).
 ///
 /// The buffer is preallocated at construction with the same capacity whether
 /// or not any class is subscribed, and one cycle's events per SM fit well

@@ -75,31 +75,36 @@ target/release/repro trace-report "$tracedir/trace_laplace3d_pro.jsonl" \
     exit 1
 }
 
-echo "== parallel engine: bit-identical across worker counts =="
-# The determinism contract of both parallel layers: the experiment pool
-# (--jobs) and the intra-run phase-split SM array (--sm-workers) must
-# produce byte-for-byte the output of the serial engine. Any divergence
-# in a counter, a stall share, or float formatting fails the gate.
+echo "== experiment pool: bit-identical across job counts =="
+# The determinism contract of the experiment pool (--jobs): results are
+# collected in submission order, so any pool width must produce
+# byte-for-byte the output of --jobs 1. Any divergence in a counter, a
+# stall share, or float formatting fails the gate.
 target/release/repro json --quick --jobs 1 > "$tracedir/json_serial.txt"
 target/release/repro json --quick --jobs 4 > "$tracedir/json_jobs4.txt"
 cmp "$tracedir/json_serial.txt" "$tracedir/json_jobs4.txt" || {
     echo "ERROR: repro json differs between --jobs 1 and --jobs 4" >&2
     exit 1
 }
-target/release/repro json --quick --jobs 4 --sm-workers 4 \
-    > "$tracedir/json_smw4.txt"
-cmp "$tracedir/json_serial.txt" "$tracedir/json_smw4.txt" || {
-    echo "ERROR: repro json differs with --sm-workers 4 (parallel SM array)" >&2
+echo "ok: --jobs 4 matches --jobs 1 byte-for-byte"
+
+echo "== repro: unknown flags are rejected =="
+# A mistyped or retired flag (e.g. the removed --sm-workers) must fail
+# loudly with the usage line, not run the default configuration.
+rc=0
+target/release/repro json --quick --sm-workers 2 >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "ERROR: repro accepted the unknown flag --sm-workers (exit $rc, want 2)" >&2
     exit 1
-}
-echo "ok: --jobs 4 and --sm-workers 4 match the serial engine byte-for-byte"
+fi
+echo "ok: repro exits 2 on an unknown flag"
 
 echo "== calendar queue: output byte-identical to the pre-swap golden =="
 # The event queues run on pro_core::calq (DESIGN.md §14), which must pop
 # in exactly the (time, seq) order of the BinaryHeap it replaced. The
 # golden file was captured from the heap build immediately before the
-# swap; the serial and --sm-workers outputs above must both still match
-# it byte for byte (the cmp chain: smw4 == serial == golden).
+# swap; the pool outputs above must still match it byte for byte (the cmp
+# chain: jobs4 == jobs1 == golden).
 cmp "$tracedir/json_serial.txt" scripts/golden/repro_quick.json || {
     echo "ERROR: repro json --quick diverged from the pre-calendar-queue golden" >&2
     exit 1

@@ -2,8 +2,7 @@
 //! restored into a *fresh* GPU (simulating a new process) and continued
 //! must be **bit-identical** to the uninterrupted run — cycle counts, stall
 //! attribution, per-SM counters, memory statistics, trace streams and
-//! output memory — on the serial and parallel engines alike, and across
-//! engine switches (snapshot serial, resume parallel).
+//! output memory.
 
 use pro_sim::{
     CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, RunResult, SchedulerKind,
@@ -16,11 +15,8 @@ use pro_core::codec::{CodecError, Snapshot};
 const KERNEL: &str = "laplace3d";
 const SCALE: u32 = 16;
 
-fn cfg(sm_workers: usize) -> GpuConfig {
-    GpuConfig {
-        sm_workers,
-        ..GpuConfig::small(4)
-    }
+fn cfg() -> GpuConfig {
+    GpuConfig::small(4)
 }
 
 fn trace_opts() -> TraceOptions {
@@ -33,16 +29,16 @@ fn trace_opts() -> TraceOptions {
 }
 
 /// Build the test workload into a fresh GPU, returning (gpu, kernel).
-fn fresh_gpu(sm_workers: usize) -> (Gpu, pro_sim::isa::Kernel) {
+fn fresh_gpu() -> (Gpu, pro_sim::isa::Kernel) {
     let w = registry().into_iter().find(|w| w.kernel == KERNEL).unwrap();
-    let mut gpu = Gpu::new(cfg(sm_workers), 64 << 20);
+    let mut gpu = Gpu::new(cfg(), 64 << 20);
     let built = (w.build)(&mut gpu.gmem, SCALE);
     (gpu, built.kernel)
 }
 
 /// The uninterrupted reference run: result, JSONL trace bytes, output memory.
-fn straight_run(sched: SchedulerKind, sm_workers: usize) -> (RunResult, Vec<u8>, Vec<u32>) {
-    let (mut gpu, kernel) = fresh_gpu(sm_workers);
+fn straight_run(sched: SchedulerKind) -> (RunResult, Vec<u8>, Vec<u32>) {
+    let (mut gpu, kernel) = fresh_gpu();
     let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
     let r = gpu
         .launch_traced(&kernel, sched, trace_opts(), &mut jsonl)
@@ -54,13 +50,8 @@ fn straight_run(sched: SchedulerKind, sm_workers: usize) -> (RunResult, Vec<u8>,
 /// Pause at `pause_at`, then resume in a *fresh* GPU. Returns the final
 /// result, the concatenated (pre-pause + post-resume) trace bytes, and the
 /// output memory of the resumed GPU.
-fn split_run(
-    sched: SchedulerKind,
-    pause_workers: usize,
-    resume_workers: usize,
-    pause_at: u64,
-) -> (RunResult, Vec<u8>, Vec<u32>) {
-    let (mut gpu, kernel) = fresh_gpu(pause_workers);
+fn split_run(sched: SchedulerKind, pause_at: u64) -> (RunResult, Vec<u8>, Vec<u32>) {
+    let (mut gpu, kernel) = fresh_gpu();
     let mut jsonl1 = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
     let status = gpu
         .launch_checkpointed_traced(
@@ -80,7 +71,7 @@ fn split_run(
     };
     // A fresh GPU, as a new process would build it: workload inputs are
     // re-allocated, then the snapshot overwrites all of device memory.
-    let (mut gpu2, kernel2) = fresh_gpu(resume_workers);
+    let (mut gpu2, kernel2) = fresh_gpu();
     let mut jsonl2 = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
     let status = gpu2
         .resume_traced(
@@ -135,37 +126,19 @@ fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
 #[test]
 fn resume_is_bit_identical_serial_and_parallel() {
     // The tentpole guarantee: pause → snapshot → restore in a fresh GPU →
-    // continue equals the uninterrupted run byte for byte, for LRR and PRO,
-    // on the serial engine and with 4 issue-phase workers.
+    // continue equals the uninterrupted run byte for byte, for LRR and PRO.
     for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
-        for workers in [1usize, 4] {
-            let (base, base_trace, base_mem) = straight_run(sched, workers);
-            let pause_at = base.cycles / 2;
-            assert!(pause_at > 0, "workload too short to split");
-            let (r, trace, mem) = split_run(sched, workers, workers, pause_at);
-            assert_same(&base, &r, &format!("{sched} x{workers}"));
-            assert_eq!(base_mem, mem, "{sched} x{workers}: output memory");
-            assert_eq!(
-                base_trace, trace,
-                "{sched} x{workers}: concatenated JSONL trace bytes diverged"
-            );
-        }
+        let (base, base_trace, base_mem) = straight_run(sched);
+        let pause_at = base.cycles / 2;
+        assert!(pause_at > 0, "workload too short to split");
+        let (r, trace, mem) = split_run(sched, pause_at);
+        assert_same(&base, &r, &format!("{sched}"));
+        assert_eq!(base_mem, mem, "{sched}: output memory");
+        assert_eq!(
+            base_trace, trace,
+            "{sched}: concatenated JSONL trace bytes diverged"
+        );
     }
-}
-
-#[test]
-fn snapshots_migrate_between_engines() {
-    // sm_workers is a host knob, not simulator state: a snapshot taken on
-    // the serial engine resumes on the parallel engine (and vice versa)
-    // with identical results.
-    let (base, base_trace, _) = straight_run(SchedulerKind::Pro, 1);
-    let pause_at = base.cycles / 2;
-    let (r, trace, _) = split_run(SchedulerKind::Pro, 1, 4, pause_at);
-    assert_same(&base, &r, "serial->parallel");
-    assert_eq!(base_trace, trace, "serial->parallel trace bytes");
-    let (r, trace, _) = split_run(SchedulerKind::Pro, 4, 1, pause_at);
-    assert_same(&base, &r, "parallel->serial");
-    assert_eq!(base_trace, trace, "parallel->serial trace bytes");
 }
 
 #[test]
@@ -180,12 +153,12 @@ fn dirty_order_state_round_trips_for_every_tracking_policy() {
     // bit-identically: LRR and PRO are pinned by the tests above, the
     // remaining tracking policies here.
     for sched in [SchedulerKind::Gto, SchedulerKind::Tl, SchedulerKind::Owl] {
-        let (base, base_trace, base_mem) = straight_run(sched, 2);
+        let (base, base_trace, base_mem) = straight_run(sched);
         // An odd cut point, away from TB-launch boundaries, maximizes the
         // chance of non-trivial sb-wait/longlat masks at the snapshot.
         let pause_at = base.cycles / 3 + 1;
         assert!(pause_at > 0 && pause_at < base.cycles);
-        let (r, trace, mem) = split_run(sched, 2, 2, pause_at);
+        let (r, trace, mem) = split_run(sched, pause_at);
         assert_same(&base, &r, &format!("{sched} dirty-state round trip"));
         assert_eq!(base_mem, mem, "{sched}: output memory");
         assert_eq!(base_trace, trace, "{sched}: concatenated trace bytes");
@@ -200,8 +173,8 @@ fn periodic_checkpoint_file_recovers_a_run() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cell.ckpt");
 
-    let (base, _, _) = straight_run(SchedulerKind::Pro, 2);
-    let (mut gpu, kernel) = fresh_gpu(2);
+    let (base, _, _) = straight_run(SchedulerKind::Pro);
+    let (mut gpu, kernel) = fresh_gpu();
     // Pause late so several periodic checkpoints have landed first.
     let status = gpu
         .launch_checkpointed(
@@ -221,7 +194,7 @@ fn periodic_checkpoint_file_recovers_a_run() {
     drop(gpu);
     let snap = GpuSnapshot::read_from(&path).unwrap();
     snap.validate().unwrap();
-    let (mut gpu2, kernel2) = fresh_gpu(2);
+    let (mut gpu2, kernel2) = fresh_gpu();
     let r = gpu2
         .resume(
             &snap,
@@ -240,8 +213,8 @@ fn periodic_checkpoint_file_recovers_a_run() {
 
 #[test]
 fn corrupted_snapshot_is_rejected_cleanly() {
-    let (base, _, _) = straight_run(SchedulerKind::Lrr, 1);
-    let (mut gpu, kernel) = fresh_gpu(1);
+    let (base, _, _) = straight_run(SchedulerKind::Lrr);
+    let (mut gpu, kernel) = fresh_gpu();
     let status = gpu
         .launch_checkpointed(
             &kernel,
@@ -263,7 +236,7 @@ fn corrupted_snapshot_is_rejected_cleanly() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     let bad = GpuSnapshot::from_bytes(bytes);
-    let (mut gpu2, kernel2) = fresh_gpu(1);
+    let (mut gpu2, kernel2) = fresh_gpu();
     let err = gpu2
         .resume(
             &bad,
@@ -286,8 +259,8 @@ fn corrupted_snapshot_is_rejected_cleanly() {
 
 #[test]
 fn mismatched_resume_is_rejected() {
-    let (base, _, _) = straight_run(SchedulerKind::Pro, 1);
-    let (mut gpu, kernel) = fresh_gpu(1);
+    let (base, _, _) = straight_run(SchedulerKind::Pro);
+    let (mut gpu, kernel) = fresh_gpu();
     let status = gpu
         .launch_checkpointed(
             &kernel,
@@ -304,7 +277,7 @@ fn mismatched_resume_is_rejected() {
         _ => panic!("expected pause"),
     };
     // Wrong scheduler.
-    let (mut gpu2, kernel2) = fresh_gpu(1);
+    let (mut gpu2, kernel2) = fresh_gpu();
     let err = gpu2
         .resume(
             &snap,
@@ -323,7 +296,7 @@ fn mismatched_resume_is_rejected() {
         .into_iter()
         .find(|w| w.kernel == "scalarProdGPU")
         .unwrap();
-    let mut gpu3 = Gpu::new(cfg(1), 64 << 20);
+    let mut gpu3 = Gpu::new(cfg(), 64 << 20);
     let other = (w.build)(&mut gpu3.gmem, SCALE);
     let err = gpu3
         .resume(
@@ -344,7 +317,7 @@ fn mismatched_resume_is_rejected() {
 fn run_result_snapshot_roundtrip() {
     // Sweep drivers persist finished cells as serialized RunResults; the
     // round trip must preserve every field bit for bit.
-    let (base, _, _) = straight_run(SchedulerKind::Pro, 1);
+    let (base, _, _) = straight_run(SchedulerKind::Pro);
     let mut w = pro_core::codec::Writer::new();
     base.save(&mut w);
     let bytes = w.into_bytes();

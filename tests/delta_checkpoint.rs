@@ -3,8 +3,7 @@
 //! by sequence number and parent CRC. Restoring the chain — base image plus
 //! every delta folded in — must be **bit-identical** to the uninterrupted
 //! run and to a full-snapshot restore of the same cycle: counters, output
-//! memory, concatenated JSONL trace bytes, on the serial and parallel
-//! engines alike. Corrupt or truncated tail deltas shorten the chain
+//! memory, concatenated JSONL trace bytes. Corrupt or truncated tail deltas shorten the chain
 //! instead of killing the restore.
 
 use pro_sim::{
@@ -19,11 +18,8 @@ use std::path::PathBuf;
 const KERNEL: &str = "laplace3d";
 const SCALE: u32 = 16;
 
-fn cfg(sm_workers: usize) -> GpuConfig {
-    GpuConfig {
-        sm_workers,
-        ..GpuConfig::small(4)
-    }
+fn cfg() -> GpuConfig {
+    GpuConfig::small(4)
 }
 
 fn trace_opts() -> TraceOptions {
@@ -35,9 +31,9 @@ fn trace_opts() -> TraceOptions {
     }
 }
 
-fn fresh_gpu(sm_workers: usize) -> (Gpu, pro_sim::isa::Kernel) {
+fn fresh_gpu() -> (Gpu, pro_sim::isa::Kernel) {
     let w = registry().into_iter().find(|w| w.kernel == KERNEL).unwrap();
-    let mut gpu = Gpu::new(cfg(sm_workers), 64 << 20);
+    let mut gpu = Gpu::new(cfg(), 64 << 20);
     let built = (w.build)(&mut gpu.gmem, SCALE);
     (gpu, built.kernel)
 }
@@ -50,8 +46,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// The uninterrupted reference run: result, JSONL trace bytes, output memory.
-fn straight_run(sched: SchedulerKind, sm_workers: usize) -> (RunResult, Vec<u8>, Vec<u32>) {
-    let (mut gpu, kernel) = fresh_gpu(sm_workers);
+fn straight_run(sched: SchedulerKind) -> (RunResult, Vec<u8>, Vec<u32>) {
+    let (mut gpu, kernel) = fresh_gpu();
     let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
     let r = gpu
         .launch_traced(&kernel, sched, trace_opts(), &mut jsonl)
@@ -90,13 +86,12 @@ fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
 /// Returns (chain dir, pre-pause trace bytes, pause snapshot).
 fn chained_prefix(
     sched: SchedulerKind,
-    sm_workers: usize,
     dir: &PathBuf,
     every: u64,
     boundaries: u64,
     keep: usize,
 ) -> (Vec<u8>, GpuSnapshot) {
-    let (mut gpu, kernel) = fresh_gpu(sm_workers);
+    let (mut gpu, kernel) = fresh_gpu();
     let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
     let status = gpu
         .launch_checkpointed_traced(
@@ -122,12 +117,8 @@ fn chained_prefix(
 }
 
 /// Resume a chain in a fresh GPU, returning result, trace bytes, memory.
-fn resume_chain_run(
-    chain: &SnapshotChain,
-    sched: SchedulerKind,
-    sm_workers: usize,
-) -> (RunResult, Vec<u8>, Vec<u32>) {
-    let (mut gpu, kernel) = fresh_gpu(sm_workers);
+fn resume_chain_run(chain: &SnapshotChain, sched: SchedulerKind) -> (RunResult, Vec<u8>, Vec<u32>) {
+    let (mut gpu, kernel) = fresh_gpu();
     let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
     let status = gpu
         .resume_chain_traced(
@@ -149,57 +140,55 @@ fn resume_chain_run(
 
 #[test]
 fn chain_restore_is_bit_identical_to_straight_and_full_restore() {
-    // The tentpole guarantee, LRR and PRO, serial and 4-worker engines:
-    // base+deltas replay equals the uncheckpointed run byte for byte —
-    // and equals a full-snapshot restore of the same cycle.
+    // The tentpole guarantee, LRR and PRO: base+deltas replay equals the
+    // uncheckpointed run byte for byte — and equals a full-snapshot
+    // restore of the same cycle.
     for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
-        for workers in [1usize, 4] {
-            let what = format!("{sched} x{workers}");
-            let (base, base_trace, base_mem) = straight_run(sched, workers);
-            let every = (base.cycles / 8).max(1);
-            let dir = temp_dir(&format!("bitident_{sched}_{workers}"));
-            let (pre_trace, pause_snap) = chained_prefix(sched, workers, &dir, every, 6, 0);
+        let what = sched.to_string();
+        let (base, base_trace, base_mem) = straight_run(sched);
+        let every = (base.cycles / 8).max(1);
+        let dir = temp_dir(&format!("bitident_{sched}"));
+        let (pre_trace, pause_snap) = chained_prefix(sched, &dir, every, 6, 0);
 
-            // "Crash": everything dropped, chain reloaded from disk.
-            let chain = SnapshotChain::load_dir(&dir).expect("chain on disk");
-            assert_eq!(chain.deltas(), 5, "{what}: base + 5 deltas expected");
+        // "Crash": everything dropped, chain reloaded from disk.
+        let chain = SnapshotChain::load_dir(&dir).expect("chain on disk");
+        assert_eq!(chain.deltas(), 5, "{what}: base + 5 deltas expected");
 
-            let (r, post_trace, mem) = resume_chain_run(&chain, sched, workers);
-            assert_same(&base, &r, &what);
-            assert_eq!(base_mem, mem, "{what}: output memory");
-            let mut trace = pre_trace.clone();
-            trace.extend_from_slice(&post_trace);
-            assert_eq!(
-                base_trace, trace,
-                "{what}: concatenated JSONL trace bytes diverged"
-            );
+        let (r, post_trace, mem) = resume_chain_run(&chain, sched);
+        assert_same(&base, &r, &what);
+        assert_eq!(base_mem, mem, "{what}: output memory");
+        let mut trace = pre_trace.clone();
+        trace.extend_from_slice(&post_trace);
+        assert_eq!(
+            base_trace, trace,
+            "{what}: concatenated JSONL trace bytes diverged"
+        );
 
-            // Full-snapshot restore of the same cycle must agree with the
-            // chain restore on everything, including trace bytes.
-            let (mut gpu, kernel) = fresh_gpu(workers);
-            let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
-            let status = gpu
-                .resume_traced(
-                    &pause_snap,
-                    &kernel,
-                    sched,
-                    trace_opts(),
-                    &CheckpointOptions::default(),
-                    &mut jsonl,
-                )
-                .unwrap();
-            let rf = match status {
-                LaunchStatus::Completed(r) => r,
-                LaunchStatus::Paused(_) => panic!("full restore paused unexpectedly"),
-            };
-            assert_same(&r, &rf, &format!("{what}: chain vs full restore"));
-            assert_eq!(
-                post_trace,
-                jsonl.into_inner(),
-                "{what}: chain and full restores emitted different trace bytes"
-            );
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
+        // Full-snapshot restore of the same cycle must agree with the
+        // chain restore on everything, including trace bytes.
+        let (mut gpu, kernel) = fresh_gpu();
+        let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
+        let status = gpu
+            .resume_traced(
+                &pause_snap,
+                &kernel,
+                sched,
+                trace_opts(),
+                &CheckpointOptions::default(),
+                &mut jsonl,
+            )
+            .unwrap();
+        let rf = match status {
+            LaunchStatus::Completed(r) => r,
+            LaunchStatus::Paused(_) => panic!("full restore paused unexpectedly"),
+        };
+        assert_same(&r, &rf, &format!("{what}: chain vs full restore"));
+        assert_eq!(
+            post_trace,
+            jsonl.into_inner(),
+            "{what}: chain and full restores emitted different trace bytes"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -209,12 +198,12 @@ fn corrupt_or_truncated_tail_falls_back_to_valid_prefix() {
     // valid link — the restore still completes and still matches the
     // uninterrupted run's result.
     let sched = SchedulerKind::Pro;
-    let (base, _, base_mem) = straight_run(sched, 2);
+    let (base, _, base_mem) = straight_run(sched);
     let every = (base.cycles / 8).max(1);
 
     // CRC flip in the newest delta.
     let dir = temp_dir("crcflip");
-    chained_prefix(sched, 2, &dir, every, 6, 0);
+    chained_prefix(sched, &dir, every, 6, 0);
     let tail = dir.join("delta-000005.ckpt");
     let mut bytes = std::fs::read(&tail).unwrap();
     let mid = bytes.len() / 2;
@@ -222,20 +211,20 @@ fn corrupt_or_truncated_tail_falls_back_to_valid_prefix() {
     std::fs::write(&tail, &bytes).unwrap();
     let chain = SnapshotChain::load_dir(&dir).expect("prefix survives");
     assert_eq!(chain.deltas(), 4, "flipped tail discarded");
-    let (r, _, mem) = resume_chain_run(&chain, sched, 2);
+    let (r, _, mem) = resume_chain_run(&chain, sched);
     assert_same(&base, &r, "crc-flip fallback");
     assert_eq!(base_mem, mem, "crc-flip fallback: output memory");
     std::fs::remove_dir_all(&dir).unwrap();
 
     // Torn write: tail delta truncated mid-file.
     let dir = temp_dir("torn");
-    chained_prefix(sched, 2, &dir, every, 6, 0);
+    chained_prefix(sched, &dir, every, 6, 0);
     let tail = dir.join("delta-000005.ckpt");
     let bytes = std::fs::read(&tail).unwrap();
     std::fs::write(&tail, &bytes[..bytes.len() / 3]).unwrap();
     let chain = SnapshotChain::load_dir(&dir).expect("prefix survives");
     assert_eq!(chain.deltas(), 4, "truncated tail discarded");
-    let (r, _, mem) = resume_chain_run(&chain, sched, 2);
+    let (r, _, mem) = resume_chain_run(&chain, sched);
     assert_same(&base, &r, "truncation fallback");
     assert_eq!(base_mem, mem, "truncation fallback: output memory");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -248,11 +237,11 @@ fn keep_cap_bounds_files_and_preserves_restore() {
     // landed. The directory never exceeds N chain files, and the rolled
     // chain restores exactly like an unbounded one.
     let sched = SchedulerKind::Lrr;
-    let (base, base_trace, base_mem) = straight_run(sched, 1);
+    let (base, base_trace, base_mem) = straight_run(sched);
     let every = (base.cycles / 16).max(1);
     let dir = temp_dir("keep");
     let keep = 4;
-    let (pre_trace, _) = chained_prefix(sched, 1, &dir, every, 10, keep);
+    let (pre_trace, _) = chained_prefix(sched, &dir, every, 10, keep);
 
     let files: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
@@ -270,7 +259,7 @@ fn keep_cap_bounds_files_and_preserves_restore() {
     // delta — and restoring it completes the run bit-identically.
     let chain = SnapshotChain::load_dir(&dir).expect("rolled chain loads");
     assert_eq!(chain.deltas(), 1, "chain after rollover: base + 1 delta");
-    let (r, post_trace, mem) = resume_chain_run(&chain, sched, 1);
+    let (r, post_trace, mem) = resume_chain_run(&chain, sched);
     assert_same(&base, &r, "keep-capped chain");
     assert_eq!(base_mem, mem, "keep-capped chain: output memory");
     let mut trace = pre_trace;
@@ -286,7 +275,7 @@ fn delta_is_at_least_5x_smaller_than_full() {
     // of the same run. Sizes and write times land in EXPERIMENTS.md; run
     // with --nocapture to reproduce the numbers.
     let w = registry().into_iter().find(|w| w.kernel == KERNEL).unwrap();
-    let mut gpu = Gpu::new(cfg(1), w.recommended_gmem(Scale::default()));
+    let mut gpu = Gpu::new(cfg(), w.recommended_gmem(Scale::default()));
     let built = w.build_scaled(&mut gpu.gmem, Scale::default());
     let dir = temp_dir("sizes");
     let trace = TraceOptions {
@@ -354,7 +343,7 @@ fn snapshot_identity_api_accepts_own_and_refuses_foreign() {
     // The host-facing identity check behind `repro json --resume`'s loud
     // mismatch error: right config+kernel+scheduler passes, anything else
     // is a typed Mismatch naming the disagreement.
-    let (mut gpu, kernel) = fresh_gpu(1);
+    let (mut gpu, kernel) = fresh_gpu();
     let status = gpu
         .launch_checkpointed(
             &kernel,
@@ -370,13 +359,11 @@ fn snapshot_identity_api_accepts_own_and_refuses_foreign() {
         LaunchStatus::Paused(s) => s,
         _ => panic!("expected pause"),
     };
-    snapshot_matches(&snap, &cfg(1), &kernel, "pro").unwrap();
-    // sm_workers is a host knob, not identity.
-    snapshot_matches(&snap, &cfg(4), &kernel, "pro").unwrap();
+    snapshot_matches(&snap, &cfg(), &kernel, "pro").unwrap();
     // Empty scheduler skips the policy check.
-    snapshot_matches(&snap, &cfg(1), &kernel, "").unwrap();
+    snapshot_matches(&snap, &cfg(), &kernel, "").unwrap();
     assert!(matches!(
-        snapshot_matches(&snap, &cfg(1), &kernel, "lrr"),
+        snapshot_matches(&snap, &cfg(), &kernel, "lrr"),
         Err(CodecError::Mismatch(_))
     ));
     let other_cfg = GpuConfig::small(2);
@@ -388,10 +375,10 @@ fn snapshot_identity_api_accepts_own_and_refuses_foreign() {
         .into_iter()
         .find(|w| w.kernel == "scalarProdGPU")
         .unwrap();
-    let mut gpu2 = Gpu::new(cfg(1), 64 << 20);
+    let mut gpu2 = Gpu::new(cfg(), 64 << 20);
     let other = (w.build)(&mut gpu2.gmem, SCALE);
     assert!(matches!(
-        snapshot_matches(&snap, &cfg(1), &other.kernel, "pro"),
+        snapshot_matches(&snap, &cfg(), &other.kernel, "pro"),
         Err(CodecError::Mismatch(_))
     ));
 }

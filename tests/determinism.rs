@@ -113,71 +113,6 @@ fn synth_kernels_are_cross_run_deterministic() {
     assert_eq!(out_a, out_b, "output memory");
 }
 
-/// Run one workload with a given issue-phase worker count, returning the
-/// result, the full JSONL event stream, and the output memory image.
-fn run_with_workers(
-    kernel_name: &str,
-    sched: SchedulerKind,
-    sm_workers: usize,
-) -> (pro_sim::RunResult, Vec<u8>, Vec<u32>) {
-    use pro_trace::{ClassSet, JsonlTracer};
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == kernel_name)
-        .unwrap();
-    let cfg = GpuConfig {
-        sm_workers,
-        ..GpuConfig::small(4)
-    };
-    let mut gpu = Gpu::new(cfg, 64 << 20);
-    let built = (w.build)(&mut gpu.gmem, 16);
-    let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
-    let r = gpu
-        .launch_traced(
-            &built.kernel,
-            sched,
-            TraceOptions {
-                timeline: true,
-                tb_order_period: 500,
-                utilization_period: 100,
-                ..Default::default()
-            },
-            &mut jsonl,
-        )
-        .unwrap();
-    let out = gpu.gmem.read_slice(0, 4096);
-    (r, jsonl.into_inner(), out)
-}
-
-#[test]
-fn parallel_engine_is_bit_identical_to_serial() {
-    // The tentpole guarantee of the phase-split engine: any issue-phase
-    // worker count yields the same counters, stall attribution, traces —
-    // byte for byte — as the serial engine. Worker counts 2 and 3 exercise
-    // both even and ragged chunkings of the 4-SM array.
-    for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
-        let (base, base_trace, base_mem) = run_with_workers("laplace3d", sched, 1);
-        for workers in [2usize, 3, 4, 7] {
-            let (r, trace, mem) = run_with_workers("laplace3d", sched, workers);
-            assert_eq!(base.cycles, r.cycles, "{sched} x{workers} cycles");
-            assert_eq!(base.sm, r.sm, "{sched} x{workers} aggregate stats");
-            assert_eq!(base.per_sm, r.per_sm, "{sched} x{workers} per-SM stats");
-            assert_eq!(base.mem, r.mem, "{sched} x{workers} memory stats");
-            assert_eq!(base.timeline, r.timeline, "{sched} x{workers} timeline");
-            assert_eq!(base.tb_order, r.tb_order, "{sched} x{workers} tb order");
-            assert_eq!(
-                base.utilization, r.utilization,
-                "{sched} x{workers} utilization"
-            );
-            assert_eq!(base_mem, mem, "{sched} x{workers} output memory");
-            assert_eq!(
-                base_trace, trace,
-                "{sched} x{workers} JSONL trace bytes diverged"
-            );
-        }
-    }
-}
-
 #[test]
 fn workload_inputs_are_reproducible() {
     // Two independent builds of the same workload allocate identical data.

@@ -1,5 +1,5 @@
 //! Host-profiler isolation: `TraceOptions::host_prof` measures the *host*
-//! (wall-clock phase timers, queue gauges, worker busy/idle) and must never
+//! (wall-clock phase timers, queue gauges) and must never
 //! leak into anything the determinism story depends on:
 //!
 //! * a default run carries no `host/*` metrics at all;
@@ -21,13 +21,6 @@ use pro_workloads::registry;
 const KERNEL: &str = "laplace3d";
 const SCALE: u32 = 16;
 
-fn cfg(sm_workers: usize) -> GpuConfig {
-    GpuConfig {
-        sm_workers,
-        ..GpuConfig::small(4)
-    }
-}
-
 fn prof_opts(host_prof: bool) -> TraceOptions {
     TraceOptions {
         host_prof,
@@ -35,22 +28,22 @@ fn prof_opts(host_prof: bool) -> TraceOptions {
     }
 }
 
-fn fresh_gpu(sm_workers: usize) -> (Gpu, pro_sim::isa::Kernel) {
+fn fresh_gpu() -> (Gpu, pro_sim::isa::Kernel) {
     let w = registry().into_iter().find(|w| w.kernel == KERNEL).unwrap();
-    let mut gpu = Gpu::new(cfg(sm_workers), 64 << 20);
+    let mut gpu = Gpu::new(GpuConfig::small(4), 64 << 20);
     let built = (w.build)(&mut gpu.gmem, SCALE);
     (gpu, built.kernel)
 }
 
-fn run(sm_workers: usize, host_prof: bool) -> RunResult {
-    let (mut gpu, kernel) = fresh_gpu(sm_workers);
+fn run(host_prof: bool) -> RunResult {
+    let (mut gpu, kernel) = fresh_gpu();
     gpu.launch(&kernel, SchedulerKind::Pro, prof_opts(host_prof))
         .unwrap()
 }
 
 /// Pause a run at `pause_at` and return the snapshot.
-fn pause(sm_workers: usize, host_prof: bool, pause_at: u64) -> GpuSnapshot {
-    let (mut gpu, kernel) = fresh_gpu(sm_workers);
+fn pause(host_prof: bool, pause_at: u64) -> GpuSnapshot {
+    let (mut gpu, kernel) = fresh_gpu();
     let status = gpu
         .launch_checkpointed(
             &kernel,
@@ -91,7 +84,7 @@ fn has_host(m: &Metrics) -> bool {
 
 #[test]
 fn default_run_publishes_no_host_metrics() {
-    let r = run(1, false);
+    let r = run(false);
     assert!(
         !has_host(&r.metrics),
         "host/* must be opt-in, found: {:?}",
@@ -101,7 +94,7 @@ fn default_run_publishes_no_host_metrics() {
 
 #[test]
 fn profiled_run_publishes_phase_and_queue_metrics() {
-    let r = run(1, true);
+    let r = run(true);
     let c = |name: &str| r.metrics.counter(name).unwrap_or(0);
     assert!(c("host/wall.ns") > 0, "wall clock recorded");
     assert!(c("host/phase.mem.ns") > 0, "mem phase timed");
@@ -136,24 +129,12 @@ fn profiled_run_publishes_phase_and_queue_metrics() {
 }
 
 #[test]
-fn worker_profiler_reports_parallel_engine_lanes() {
-    // 4 SMs on 2 issue-phase workers: two lanes, each with busy/idle time.
-    let r = run(2, true);
-    assert_eq!(r.metrics.counter("host/worker.count"), Some(2));
-    let busy = r.metrics.counter("host/worker.busy.ns").unwrap_or(0);
-    assert!(busy > 0, "workers did work");
-    // The serial engine has no workers to report.
-    let serial = run(1, true);
-    assert_eq!(serial.metrics.counter("host/worker.count"), None);
-}
-
-#[test]
 fn profiled_pause_snapshot_is_byte_identical_to_unprofiled() {
-    let base = run(1, false);
+    let base = run(false);
     let pause_at = base.cycles / 2;
     assert!(pause_at > 0, "workload too short to split");
-    let plain = pause(1, false, pause_at);
-    let profiled = pause(1, true, pause_at);
+    let plain = pause(false, pause_at);
+    let profiled = pause(true, pause_at);
     assert_eq!(
         plain.into_bytes(),
         profiled.into_bytes(),
@@ -163,10 +144,10 @@ fn profiled_pause_snapshot_is_byte_identical_to_unprofiled() {
 
 #[test]
 fn profiled_resume_is_bit_identical_to_unprofiled_run() {
-    let base = run(1, false);
+    let base = run(false);
     let pause_at = base.cycles / 2;
-    let snap = pause(1, true, pause_at);
-    let (mut gpu2, kernel2) = fresh_gpu(1);
+    let snap = pause(true, pause_at);
+    let (mut gpu2, kernel2) = fresh_gpu();
     let status = gpu2
         .resume(
             &snap,
@@ -194,8 +175,8 @@ fn profiled_resume_is_bit_identical_to_unprofiled_run() {
 
 #[test]
 fn run_result_encoding_strips_host_metrics() {
-    let plain = run(1, false);
-    let profiled = run(1, true);
+    let plain = run(false);
+    let profiled = run(true);
     let encode = |r: &RunResult| {
         let mut w = Writer::new();
         r.save(&mut w);
