@@ -982,9 +982,9 @@ fn shootout(scale: Scale, quick: bool) {
     }
 
     println!(
-        "{:<8} {:>7} {:>6} | {:>6} {:>6} {:>6} | {:>9} {:>6} {:>6} {:>6} {:>6} | {:>7} {:>7} {:>7}",
+        "{:<8} {:>7} {:>6} | {:>6} {:>6} {:>6} | {:>9} {:>6} {:>6} {:>6} {:>6} | {:>7} {:>7} | {:>7} {:>7} {:>7}",
         "Policy", "vsLRR", "IPC", "idle%", "sb%", "pipe%", "wall ms", "mem%", "issue%", "reuse%",
-        "merge%", "evq p50", "evq p99", "evq hwm"
+        "merge%", "skip/uc", "eval/uc", "evq p50", "evq p99", "evq hwm"
     );
     let mut json_rows = Vec::new();
     for row in &rows {
@@ -1006,9 +1006,13 @@ fn shootout(scale: Scale, quick: bool) {
         let reused = row.host.counter("host/issue/orders_reused").unwrap_or(0);
         let recomputed = row.host.counter("host/issue/orders_recomputed").unwrap_or(0);
         let mask_skips = row.host.counter("host/issue/mask_skips").unwrap_or(0);
+        let probe_evals = row.host.counter("host/issue/probe_evals").unwrap_or(0);
         let reuse_pct = 100.0 * reused as f64 / (reused + recomputed).max(1) as f64;
+        // Probe economy per unit-cycle: order entries a mask dismissed vs.
+        // warps evaluated against the scoreboard.
+        let per_uc = |n: u64| n as f64 / (reused + recomputed).max(1) as f64;
         println!(
-            "{:<8} {:>6.3}x {:>6.2} | {:>5.1}% {:>5.1}% {:>5.1}% | {:>9.1} {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% | {:>7} {:>7} {:>7}",
+            "{:<8} {:>6.3}x {:>6.2} | {:>5.1}% {:>5.1}% {:>5.1}% | {:>9.1} {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% | {:>7.2} {:>7.2} | {:>7} {:>7} {:>7}",
             row.sched.name(),
             vs_lrr,
             row.instructions as f64 / row.cycles.max(1) as f64,
@@ -1020,6 +1024,8 @@ fn shootout(scale: Scale, quick: bool) {
             share(phase("issue")),
             reuse_pct,
             share(phase("merge")),
+            per_uc(mask_skips),
+            per_uc(probe_evals),
             evq_p50,
             evq_p99,
             row.evq_hwm,
@@ -1039,6 +1045,7 @@ fn shootout(scale: Scale, quick: bool) {
             ("issue_orders_reused", unum(reused)),
             ("issue_orders_recomputed", unum(recomputed)),
             ("issue_mask_skips", unum(mask_skips)),
+            ("issue_probe_evals", unum(probe_evals)),
             ("evq_depth_p50", unum(evq_p50)),
             ("evq_depth_p99", unum(evq_p99)),
             ("evq_depth_hwm", unum(row.evq_hwm)),

@@ -15,11 +15,22 @@ use crate::dirty::DirtyMask;
 use crate::{IssueInfo, SchedView, WarpScheduler, WarpSlot};
 use std::collections::VecDeque;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct UnitState {
     active: VecDeque<WarpSlot>,
     pending: VecDeque<WarpSlot>,
     last_issued: Option<WarpSlot>,
+    /// Bit `w` set iff `w` is in `active` (resp. `pending`): O(1)
+    /// membership tests for the queues. Derived — rebuilt by `load_state`,
+    /// never serialized.
+    active_mask: u64,
+    pending_mask: u64,
+}
+
+/// Mask bit of warp slot `w`; TL packs a unit's slots into u64 masks.
+fn bit(w: WarpSlot) -> u64 {
+    assert!(w < 64, "TL packs warp slots into u64 masks (slot {w})");
+    1u64 << w
 }
 
 /// Two-level active/pending policy.
@@ -40,13 +51,7 @@ impl TwoLevel {
     /// `units` scheduler units; `active_size` warps may be active per unit.
     pub fn new(units: u32, active_size: usize) -> Self {
         TwoLevel {
-            units: (0..units)
-                .map(|_| UnitState {
-                    active: VecDeque::new(),
-                    pending: VecDeque::new(),
-                    last_issued: None,
-                })
-                .collect(),
+            units: (0..units).map(|_| UnitState::default()).collect(),
             active_size,
             dirty: DirtyMask::all(),
         }
@@ -59,27 +64,54 @@ impl TwoLevel {
 
     /// Reconcile bookkeeping with the candidate set: drop vanished warps,
     /// adopt new ones into pending, demote blocked active warps, promote
-    /// ready pending warps.
-    fn rebalance(&mut self, unit: u32, view: &SchedView, candidates: &[WarpSlot]) {
+    /// ready pending warps. O(n) in the candidate count: every membership
+    /// test is a bit test on the queue masks.
+    ///
+    /// Returns whether the result is a fixpoint: no blocked warp had to be
+    /// put in the active set. The loops below always leave the active set
+    /// full or pending empty, and only the final fill admits blocked
+    /// warps, so that is exactly "every active warp unblocked, and full or
+    /// nothing pending".
+    fn rebalance(&mut self, unit: u32, view: &SchedView, candidates: &[WarpSlot]) -> bool {
         let u = &mut self.units[unit as usize];
-        let is_candidate = |w: WarpSlot| candidates.contains(&w);
-        u.active.retain(|&w| is_candidate(w));
-        u.pending.retain(|&w| is_candidate(w));
-        for &w in candidates {
-            if !u.active.contains(&w) && !u.pending.contains(&w) {
-                u.pending.push_back(w);
+        let cands = candidates.iter().fold(0u64, |m, &w| m | bit(w));
+        // Drop vanished warps.
+        if (u.active_mask | u.pending_mask) & !cands != 0 {
+            u.active.retain(|&w| cands & bit(w) != 0);
+            u.pending.retain(|&w| cands & bit(w) != 0);
+            u.active_mask &= cands;
+            u.pending_mask &= cands;
+        }
+        // Adopt new candidates into pending, in candidate order.
+        let mut fresh = cands & !(u.active_mask | u.pending_mask);
+        if fresh != 0 {
+            u.pending_mask |= fresh;
+            for &w in candidates {
+                if fresh & bit(w) != 0 {
+                    fresh &= !bit(w);
+                    u.pending.push_back(w);
+                }
             }
         }
         // Demote active warps blocked on long-latency loads.
-        let mut i = 0;
-        while i < u.active.len() {
-            let w = u.active[i];
-            if view.warps[w].blocked_on_longlat {
-                u.active.remove(i);
-                u.pending.push_back(w);
-            } else {
-                i += 1;
-            }
+        let blocked = u
+            .active
+            .iter()
+            .filter(|&&w| view.warps[w].blocked_on_longlat)
+            .fold(0u64, |m, &w| m | bit(w));
+        if blocked != 0 {
+            let UnitState {
+                active, pending, ..
+            } = u;
+            active.retain(|&w| {
+                let keep = blocked & bit(w) == 0;
+                if !keep {
+                    pending.push_back(w);
+                }
+                keep
+            });
+            u.active_mask &= !blocked;
+            u.pending_mask |= blocked;
         }
         // Promote unblocked pending warps FIFO until the active set is full.
         let mut scanned = 0;
@@ -90,17 +122,28 @@ impl TwoLevel {
             if view.warps[w].blocked_on_longlat {
                 u.pending.push_back(w);
             } else {
+                u.pending_mask &= !bit(w);
+                u.active_mask |= bit(w);
                 u.active.push_back(w);
             }
         }
         // If everything is blocked, fill with blocked warps anyway so the
         // unit still reports a valid (if unissuable) order.
+        let mut fixpoint = true;
         while u.active.len() < self.active_size {
             match u.pending.pop_front() {
-                Some(w) => u.active.push_back(w),
+                Some(w) => {
+                    fixpoint = false;
+                    u.pending_mask &= !bit(w);
+                    u.active_mask |= bit(w);
+                    u.active.push_back(w);
+                }
                 None => break,
             }
         }
+        // One slice for the rotation in `order`.
+        u.active.make_contiguous();
+        fixpoint
     }
 }
 
@@ -116,40 +159,35 @@ impl WarpScheduler for TwoLevel {
         candidates: &[WarpSlot],
         out: &mut Vec<WarpSlot>,
     ) {
-        self.rebalance(unit, view, candidates);
-        let u = &self.units[unit as usize];
         // Clean only at a rebalance fixpoint: with unchanged candidates and
         // blocked flags, every loop in `rebalance` would be a no-op, so the
         // queues — and therefore the emitted order — cannot drift. The
         // degenerate everything-blocked case (actives filled from the
         // "blocked anyway" tail) rotates the queues each call and must
         // stay dirty.
-        let stable = u.active.iter().all(|&w| !view.warps[w].blocked_on_longlat)
-            && (u.active.len() == self.active_size || u.pending.is_empty());
+        let stable = self.rebalance(unit, view, candidates);
+        let u = &self.units[unit as usize];
         if stable {
             self.dirty.clear(unit);
         } else {
             self.dirty.mark(unit);
         }
         out.clear();
-        // Round robin within the active set, starting after last issued.
-        let n = u.active.len();
-        let start = match u.last_issued {
-            Some(last) => u
-                .active
-                .iter()
-                .position(|&w| w == last)
-                .map(|p| (p + 1) % n.max(1))
-                .unwrap_or(0),
-            None => 0,
-        };
-        for i in 0..n {
-            out.push(u.active[(start + i) % n]);
-        }
+        // Round robin within the active set, starting after last issued:
+        // the rotation is the tail from `start`, then the head.
+        let (active, _) = u.active.as_slices();
+        let start = active
+            .iter()
+            .position(|&w| Some(w) == u.last_issued)
+            .map_or(0, |p| p + 1);
+        out.extend_from_slice(&active[start..]);
+        out.extend_from_slice(&active[..start]);
         // Pending warps trail, FIFO (they can still issue if all actives
         // cannot — "loose" fallback, matching GPGPU-Sim behaviour where the
         // unit would otherwise idle).
-        out.extend(u.pending.iter().copied());
+        let (head, tail) = u.pending.as_slices();
+        out.extend_from_slice(head);
+        out.extend_from_slice(tail);
     }
 
     fn order_dirty(&mut self, unit: u32) -> bool {
@@ -170,6 +208,8 @@ impl WarpScheduler for TwoLevel {
             if let Some(pos) = u.active.iter().position(|&w| w == slot) {
                 u.active.remove(pos);
                 u.pending.push_back(slot);
+                u.active_mask &= !bit(slot);
+                u.pending_mask |= bit(slot);
             }
         }
     }
@@ -179,6 +219,8 @@ impl WarpScheduler for TwoLevel {
         for u in &mut self.units {
             u.active.retain(|&w| w != slot);
             u.pending.retain(|&w| w != slot);
+            u.active_mask &= !bit(slot);
+            u.pending_mask &= !bit(slot);
             if u.last_issued == Some(slot) {
                 u.last_issued = None;
             }
@@ -200,10 +242,20 @@ impl WarpScheduler for TwoLevel {
         if n != self.units.len() {
             return Err(codec::CodecError::BadValue("TL unit count"));
         }
+        let mask = |q: &VecDeque<WarpSlot>| {
+            q.iter().try_fold(0u64, |m, &w| match w {
+                0..=63 => Ok(m | 1u64 << w),
+                _ => Err(codec::CodecError::BadValue(
+                    "TL warp slot out of mask range",
+                )),
+            })
+        };
         for u in &mut self.units {
             u.active = Snapshot::load(r)?;
             u.pending = Snapshot::load(r)?;
             u.last_issued = Snapshot::load(r)?;
+            u.active_mask = mask(&u.active)?;
+            u.pending_mask = mask(&u.pending)?;
         }
         self.dirty = Snapshot::load(r)?;
         Ok(())

@@ -905,8 +905,7 @@ impl Gpu {
             result.metrics.set_hist("host/sm.lsuq.depth", lsu_depth);
             let mut issue = IssueProf::default();
             for sm in &self.sms {
-                let (reused, recomputed, skips) = sm.issue_prof();
-                issue.add(reused, recomputed, skips);
+                issue.merge(&sm.issue_prof());
             }
             issue.publish(&mut result.metrics);
             result

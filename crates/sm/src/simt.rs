@@ -82,6 +82,16 @@ impl SimtStack {
         }
     }
 
+    /// The PC [`SimtStack::reconverge`] would leave on top, without
+    /// popping anything.
+    pub fn reconverged_pc(&self) -> Pc {
+        let mut i = self.entries.len() - 1;
+        while i > 0 && self.entries[i].pc == self.entries[i].reconv {
+            i -= 1;
+        }
+        self.entries[i].pc
+    }
+
     /// Sequential advance past a non-branch instruction.
     #[inline]
     pub fn advance(&mut self) {

@@ -33,7 +33,9 @@ use pro_mem::{
     AccessId, AccessOutcome, GlobalMem, GmemPort, GmemStage, MemSubsystem, StoreLog,
     QUEUE_SAMPLE_PERIOD,
 };
-use pro_trace::{req_id, Event as TraceEvent, EventClass, Hist16, NoopTracer, StallReason, Tracer};
+use pro_trace::{
+    req_id, Event as TraceEvent, EventClass, Hist16, IssueProf, NoopTracer, StallReason, Tracer,
+};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -257,7 +259,6 @@ pub struct Sm {
     /// Cumulative statistics (reset by the GPU at kernel boundaries).
     pub stats: SmStats,
     // Scratch.
-    cand_buf: Vec<usize>,
     lines_buf: Vec<u64>,
     completion_buf: Vec<AccessId>,
     // --- Incremental issue path (DESIGN.md §15). All of this is *derived*
@@ -273,21 +274,41 @@ pub struct Sm {
     /// Bit `w` set iff warp `w` is valid, not parked at a barrier, and not
     /// finished — exactly the warps the issue walk would not silently skip.
     eligible_mask: u64,
-    /// Per-slot mirror of [`Warp::ibuf_ready_at`] so the walk can skip
-    /// still-fetching warps without loading the `Warp`.
-    ibuf_at: Vec<u64>,
-    /// Memoized "scoreboard said no" outcomes: bit `w` set when the walk
+    /// Bit `w` set iff `warps[w].ibuf_ready_at <= now`: the warp's next
+    /// instruction is in the i-buffer. Exact for every candidate once
+    /// [`Sm::refresh_fetched`] ran at the top of the issue phase; every
+    /// write of `ibuf_ready_at` after launch goes through [`Sm::set_ibuf`],
+    /// which sets or clears the bit to match.
+    fetched_mask: u64,
+    /// Memoized "scoreboard said no" outcomes: bit `w` set when the probe
     /// reached warp `w`, fetched its instruction, and the scoreboard (or
     /// the Exit/Bar drain rule) refused it. The warp's pc, SIMT stack and
     /// scoreboard are frozen until a writeback releases registers —
     /// [`Sm::release_write`] is the single unblock point and clears the
-    /// bit — so skipping the warp (while still counting it as `saw_valid`)
-    /// is bit-identical to re-evaluating it.
+    /// bit — so skipping the warp (while still counting it as holding a
+    /// valid instruction) is bit-identical to re-evaluating it.
     sb_wait_mask: u64,
+    /// Structural memo: bit `w` set when the probe fetched warp `w`'s
+    /// instruction, the scoreboard (and the Exit/Bar drain rule) passed
+    /// it, and it is LSU-class (`mem_ready_mask`) or SFU-class
+    /// (`sfu_ready_mask`). Only the warp's own issue reserves its
+    /// registers and its pc is frozen until then, so the "ready" verdict
+    /// cannot be revoked before it issues: the bit is cleared only there,
+    /// and when its slot is launched or retired. While the unit's pipe is
+    /// free the warp issues on sight; while it is full the probe skips it
+    /// with one bit test (still counting it as a Pipeline stall).
+    mem_ready_mask: u64,
+    /// See `mem_ready_mask`.
+    sfu_ready_mask: u64,
     /// Bit `w` set iff `sched_warps[w].blocked_on_longlat` — the
     /// fingerprint consulted when a policy's `order()` reads blocked flags
     /// (`order_reads_longlat`, e.g. TL).
     longlat_mask: u64,
+    /// Per-unit candidate lists (ascending slots of `cand_list_masks[u]`),
+    /// rebuilt only when the unit's candidate set changes. Each list is a
+    /// pure function of its mask, so a restore needs no reset.
+    cand_lists: Vec<Vec<usize>>,
+    cand_list_masks: Vec<u64>,
     /// Per-unit cached `order()` output plus the inputs it was computed
     /// under; reused verbatim while the policy reports clean and the
     /// inputs are unchanged.
@@ -300,6 +321,7 @@ pub struct Sm {
     issue_orders_reused: u64,
     issue_orders_recomputed: u64,
     issue_mask_skips: u64,
+    issue_probe_evals: u64,
     // Host-observability LSU queue gauge, sampled every
     // `QUEUE_SAMPLE_PERIOD` cycles; never serialized (outside the
     // determinism/checkpoint boundary, published as `host/sm.lsuq.*`).
@@ -352,15 +374,20 @@ impl Sm {
             store_log: StoreLog::default(),
             first_warp_finish: vec![None; cfg.max_tbs],
             stats: SmStats::default(),
-            cand_buf: Vec::with_capacity(cfg.max_warps),
             lines_buf: Vec::with_capacity(32),
             completion_buf: Vec::with_capacity(32),
             cands_mask: 0,
             unit_masks,
             eligible_mask: 0,
-            ibuf_at: vec![0; cfg.max_warps],
+            fetched_mask: 0,
             sb_wait_mask: 0,
+            mem_ready_mask: 0,
+            sfu_ready_mask: 0,
             longlat_mask: 0,
+            cand_lists: (0..cfg.units)
+                .map(|_| Vec::with_capacity(cfg.max_warps))
+                .collect(),
+            cand_list_masks: vec![0; cfg.units as usize],
             order_bufs: (0..cfg.units)
                 .map(|_| Vec::with_capacity(cfg.max_warps))
                 .collect(),
@@ -370,6 +397,7 @@ impl Sm {
             issue_orders_reused: 0,
             issue_orders_recomputed: 0,
             issue_mask_skips: 0,
+            issue_probe_evals: 0,
             lsu_hwm: 0,
             lsu_depth: Hist16::new(),
             cfg,
@@ -407,6 +435,7 @@ impl Sm {
         self.issue_orders_reused = 0;
         self.issue_orders_recomputed = 0;
         self.issue_mask_skips = 0;
+        self.issue_probe_evals = 0;
     }
 
     /// Drop all incremental issue-path state: empty masks (the SM is
@@ -415,16 +444,20 @@ impl Sm {
         self.cands_mask = 0;
         self.eligible_mask = 0;
         self.sb_wait_mask = 0;
+        self.mem_ready_mask = 0;
+        self.sfu_ready_mask = 0;
         self.longlat_mask = 0;
-        self.ibuf_at.fill(0);
+        self.fetched_mask = 0;
         self.cached_valid.fill(false);
     }
 
-    /// Recompute the candidate/eligible/blocked masks and the ibuf mirror
-    /// from the architectural warp state (after a snapshot restore). The
-    /// scoreboard-wait memo restarts empty and the order caches invalid —
-    /// both are one-sided, so the first post-restore cycle recomputes
-    /// exactly what the pre-snapshot engine would have.
+    /// Recompute the candidate/eligible/blocked masks from the
+    /// architectural warp state (after a snapshot restore). The
+    /// scoreboard-wait and structural memos restart empty, `fetched_mask`
+    /// empty (the next [`Sm::refresh_fetched`] re-tests every candidate)
+    /// and the order caches invalid — all one-sided, so the first
+    /// post-restore cycle recomputes exactly what the pre-snapshot engine
+    /// would have.
     fn rebuild_issue_masks(&mut self) {
         self.reset_issue_path();
         for w in 0..self.cfg.max_warps {
@@ -439,7 +472,6 @@ impl Sm {
             if warp.valid && !warp.at_barrier && !warp.finished {
                 self.eligible_mask |= bit;
             }
-            self.ibuf_at[w] = warp.ibuf_ready_at;
         }
     }
 
@@ -553,8 +585,10 @@ impl Sm {
             self.cands_mask |= bit;
             self.eligible_mask |= bit;
             self.sb_wait_mask &= !bit;
+            self.mem_ready_mask &= !bit;
+            self.sfu_ready_mask &= !bit;
             self.longlat_mask &= !bit;
-            self.ibuf_at[w] = self.warps[w].ibuf_ready_at;
+            self.set_ibuf(w, self.warps[w].ibuf_ready_at, now);
         }
         self.shared[slot] = SharedMem::new(program.shared_bytes);
         self.sched_tbs[slot] = TbState {
@@ -609,16 +643,44 @@ impl Sm {
         (self.lsu_hwm, &self.lsu_depth)
     }
 
-    /// Host-side issue-path counters: `(orders reused, orders recomputed,
-    /// ready-mask skips)`. Like [`Sm::lsu_prof`], host observability only —
-    /// never serialized, excluded from determinism comparisons (published
-    /// as `host/issue/*`).
-    pub fn issue_prof(&self) -> (u64, u64, u64) {
-        (
-            self.issue_orders_reused,
-            self.issue_orders_recomputed,
-            self.issue_mask_skips,
-        )
+    /// Host-side issue-path counters. Like [`Sm::lsu_prof`], host
+    /// observability only — never serialized, excluded from determinism
+    /// comparisons (published as `host/issue/*`).
+    pub fn issue_prof(&self) -> IssueProf {
+        IssueProf {
+            orders_reused: self.issue_orders_reused,
+            orders_recomputed: self.issue_orders_recomputed,
+            mask_skips: self.issue_mask_skips,
+            probe_evals: self.issue_probe_evals,
+        }
+    }
+
+    /// Set warp `w`'s fetch-completion time to `at` and make its
+    /// `fetched_mask` bit exact for cycle `now`.
+    fn set_ibuf(&mut self, w: usize, at: u64, now: u64) {
+        self.warps[w].ibuf_ready_at = at;
+        if at <= now {
+            self.fetched_mask |= 1u64 << w;
+        } else {
+            self.fetched_mask &= !(1u64 << w);
+        }
+    }
+
+    /// Set the `fetched_mask` bit of every candidate whose instruction has
+    /// matured by `now`. Only unset bits are tested: a set bit stays exact
+    /// because time only advances and [`Sm::set_ibuf`] clears it whenever
+    /// the fetch-completion time moves into the future. The unset bits
+    /// are the few warps that issued, launched or left a barrier within
+    /// the last `fetch_lat` cycles.
+    fn refresh_fetched(&mut self, now: u64) {
+        let mut m = self.cands_mask & !self.fetched_mask;
+        while m != 0 {
+            let w = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if self.warps[w].ibuf_ready_at <= now {
+                self.fetched_mask |= 1u64 << w;
+            }
+        }
     }
 
     fn schedule_wb(&mut self, t: u64, rec: WbRec) {
@@ -676,10 +738,9 @@ impl Sm {
             let w = base + i;
             if self.warps[w].valid && self.warps[w].at_barrier {
                 self.warps[w].at_barrier = false;
-                self.warps[w].ibuf_ready_at = now + self.cfg.fetch_lat;
                 self.sched_warps[w].at_barrier = false;
                 self.eligible_mask |= 1u64 << w;
-                self.ibuf_at[w] = now + self.cfg.fetch_lat;
+                self.set_ibuf(w, now + self.cfg.fetch_lat, now);
             }
         }
         self.sched_tbs[tb].warps_at_barrier = 0;
@@ -732,6 +793,8 @@ impl Sm {
             self.cands_mask &= !bit;
             self.eligible_mask &= !bit;
             self.sb_wait_mask &= !bit;
+            self.mem_ready_mask &= !bit;
+            self.sfu_ready_mask &= !bit;
             self.longlat_mask &= !bit;
         }
         self.used_threads -= self.threads_per_tb;
@@ -891,6 +954,7 @@ impl Sm {
         // One refcount bump per phase, not per unit: every unit issues from
         // the same bound program.
         let program = Arc::clone(self.program.as_ref().expect("kernel bound"));
+        self.refresh_fetched(now);
         let mut log = std::mem::take(&mut self.store_log);
         for unit in 0..self.cfg.units {
             let mut stage = GmemStage::new(gmem_base, &mut log);
@@ -945,15 +1009,17 @@ impl Sm {
             && (!policy.order_reads_longlat() || self.cached_blocked[u] == unit_blocked)
             && !policy.order_dirty(unit);
         let sampling = now & 63 == 0;
-        if !reuse || sampling {
+        if self.cand_list_masks[u] != unit_cands {
             // Candidates: live, unfinished warps of this unit, ascending —
             // trailing_zeros iteration reproduces the old slot-order scan.
-            self.cand_buf.clear();
+            let list = &mut self.cand_lists[u];
+            list.clear();
             let mut m = unit_cands;
             while m != 0 {
-                self.cand_buf.push(m.trailing_zeros() as usize);
+                list.push(m.trailing_zeros() as usize);
                 m &= m - 1;
             }
+            self.cand_list_masks[u] = unit_cands;
         }
         if reuse {
             self.issue_orders_reused += 1;
@@ -967,7 +1033,7 @@ impl Sm {
             };
             // Split borrows: the order cache is disjoint from the view.
             let mut order = std::mem::take(&mut self.order_bufs[u]);
-            policy.order(unit, &view, &self.cand_buf, &mut order);
+            policy.order(unit, &view, &self.cand_lists[u], &mut order);
             self.order_bufs[u] = order;
             self.cached_cands[u] = unit_cands;
             self.cached_blocked[u] = unit_blocked;
@@ -978,7 +1044,7 @@ impl Sm {
         // pool is what lets a scheduler hide latency).
         if sampling {
             let mut ready = 0u64;
-            for &w in &self.cand_buf {
+            for &w in &self.cand_lists[u] {
                 let warp = &mut self.warps[w];
                 if warp.at_barrier || warp.finished || now < warp.ibuf_ready_at {
                     continue;
@@ -993,83 +1059,101 @@ impl Sm {
             self.stats.ready_hist.observe(ready);
         }
 
-        let mut saw_valid = false;
-        let mut saw_ready = false;
+        // ---- Probe. ----
+        // Unit-level structural hazards, once per unit-cycle: a memoized
+        // ready warp of a busy pipe is refused exactly like the full check
+        // would refuse it.
+        let lsu_full = self.lsu.len() >= self.cfg.lsu_queue;
+        let sfu_busy = now < self.sfu_free_at;
+        let blocked = |sm: &Sm| {
+            (if lsu_full { sm.mem_ready_mask } else { 0 })
+                | (if sfu_busy { sm.sfu_ready_mask } else { 0 })
+        };
+        // Warps holding a valid instruction this cycle; of those, the ones
+        // no memo has already ruled out.
+        let valid = unit_cands & self.eligible_mask & self.fetched_mask;
+        let issuable = valid & !self.sb_wait_mask & !blocked(self);
         let mut chosen: Option<(usize, Instr)> = None;
-        for i in 0..self.order_bufs[u].len() {
-            let w = self.order_bufs[u][i];
-            let bit = 1u64 << w;
-            if self.eligible_mask & bit == 0 {
-                continue; // at barrier / finished / empty slot
-            }
-            if now < self.ibuf_at[w] {
-                continue; // instruction not yet fetched — contributes to Idle
-            }
-            if self.sb_wait_mask & bit != 0 {
-                // Memoized scoreboard refusal: the warp already fetched
-                // (hence `saw_valid`) and nothing released since, so the
-                // full re-check below would reach the same verdict.
-                saw_valid = true;
-                self.issue_mask_skips += 1;
-                continue;
-            }
-            let warp = &mut self.warps[w];
-            if trace_simt {
-                let depth_before = warp.simt.depth();
-                warp.simt.reconverge();
-                if warp.simt.depth() < depth_before {
-                    let (sm, pc) = (self.id, warp.pc());
-                    tracer.emit(now, &TraceEvent::SimtReconverge { sm, warp: w as u32, pc });
+        if issuable == 0 {
+            // Every order entry is decided by a mask: no walk.
+            self.issue_mask_skips += self.order_bufs[u].len() as u64;
+        } else {
+            for i in 0..self.order_bufs[u].len() {
+                let w = self.order_bufs[u][i];
+                let bit = 1u64 << w;
+                if issuable & bit == 0 {
+                    // Barrier / finished / still fetching / memoized wait /
+                    // memoized ready behind a busy pipe.
+                    self.issue_mask_skips += 1;
+                    continue;
                 }
-            } else {
-                warp.simt.reconverge();
-            }
-            let instr = *program.fetch(warp.pc());
-            saw_valid = true;
-            if !warp.scoreboard.ready(&instr) {
-                self.sb_wait_mask |= bit;
-                continue;
-            }
-            // Exit and barriers drain the warp's pipeline first (in-order
-            // completion); pending writes hold them back.
-            if matches!(instr, Instr::Exit | Instr::Bar { .. })
-                && warp.scoreboard.any_pending()
-            {
-                self.sb_wait_mask |= bit;
-                continue;
-            }
-            // Structural hazards.
-            match instr.pipe_class() {
-                PipeClass::Alu | PipeClass::Ctrl => {}
-                PipeClass::Sfu => {
-                    if now < self.sfu_free_at {
-                        saw_ready = true;
-                        continue;
+                let warp = &mut self.warps[w];
+                if (self.mem_ready_mask | self.sfu_ready_mask) & bit != 0 {
+                    // Memoized ready and its pipe is free: issue on sight.
+                    // Reconvergence already ran when the memo was set.
+                    chosen = Some((w, *program.fetch(warp.pc())));
+                    break;
+                }
+                if trace_simt {
+                    let depth_before = warp.simt.depth();
+                    warp.simt.reconverge();
+                    if warp.simt.depth() < depth_before {
+                        let (sm, pc) = (self.id, warp.pc());
+                        tracer.emit(now, &TraceEvent::SimtReconverge { sm, warp: w as u32, pc });
+                    }
+                } else {
+                    warp.simt.reconverge();
+                }
+                let instr = *program.fetch(warp.pc());
+                self.issue_probe_evals += 1;
+                // Exit and barriers drain the warp's pipeline first
+                // (in-order completion); pending writes hold them back.
+                if !warp.scoreboard.ready(&instr)
+                    || (matches!(instr, Instr::Exit | Instr::Bar { .. })
+                        && warp.scoreboard.any_pending())
+                {
+                    self.sb_wait_mask |= bit;
+                    continue;
+                }
+                // Structural hazards.
+                match instr.pipe_class() {
+                    PipeClass::Alu | PipeClass::Ctrl => {}
+                    PipeClass::Sfu => {
+                        self.sfu_ready_mask |= bit;
+                        if sfu_busy {
+                            continue;
+                        }
+                    }
+                    PipeClass::Mem => {
+                        self.mem_ready_mask |= bit;
+                        if lsu_full {
+                            continue;
+                        }
                     }
                 }
-                PipeClass::Mem => {
-                    if self.lsu.len() >= self.cfg.lsu_queue {
-                        saw_ready = true;
-                        continue;
-                    }
-                }
+                chosen = Some((w, instr));
+                break;
             }
-            saw_ready = true;
-            chosen = Some((w, instr));
-            break;
         }
+        // Stall classification from the (now updated) masks: Idle if no
+        // warp held a valid instruction, Pipeline if one passed the
+        // scoreboard but found its pipe busy, else Scoreboard.
+        let reason = if valid == 0 {
+            StallReason::Idle
+        } else if valid & blocked(self) != 0 {
+            StallReason::Pipeline
+        } else {
+            StallReason::Scoreboard
+        };
+        #[cfg(debug_assertions)]
+        self.check_probe(u, now, program, chosen.map(|(w, _)| w), reason);
 
         let Some((w, instr)) = chosen else {
-            let reason = if !saw_valid {
-                self.stats.idle += 1;
-                StallReason::Idle
-            } else if !saw_ready {
-                self.stats.scoreboard += 1;
-                StallReason::Scoreboard
-            } else {
-                self.stats.pipeline += 1;
-                StallReason::Pipeline
-            };
+            match reason {
+                StallReason::Idle => self.stats.idle += 1,
+                StallReason::Pipeline => self.stats.pipeline += 1,
+                StallReason::Scoreboard => self.stats.scoreboard += 1,
+            }
             if trace_stall {
                 tracer.emit(now, &TraceEvent::UnitStall { sm: self.id, unit, reason });
                 // Per-warp attribution: re-classify each candidate on this
@@ -1147,8 +1231,11 @@ impl Sm {
         // Progress accounting (paper §III.E: += active threads).
         self.sched_warps[w].progress += active as u64;
         self.sched_tbs[tb].progress += active as u64;
-        self.warps[w].ibuf_ready_at = now + self.cfg.fetch_lat;
-        self.ibuf_at[w] = now + self.cfg.fetch_lat;
+        self.set_ibuf(w, now + self.cfg.fetch_lat, now);
+        // The issue consumed the memoized verdict: the warp's next
+        // instruction is probed afresh.
+        self.mem_ready_mask &= !(1u64 << w);
+        self.sfu_ready_mask &= !(1u64 << w);
 
         let ws = Scoreboard::write_set(&instr);
         let mut sb_set = false; // emits one ScoreboardSet below when true
@@ -1312,6 +1399,60 @@ impl Sm {
                 tbs_waiting_in_tb_scheduler: fast_phase,
             },
         );
+    }
+
+    /// Debug cross-check of the mask probe: a reference walk over unit
+    /// `u`'s full order that reads only architectural warp and pipe state
+    /// and changes nothing must pick the same warp, or on a stall see the
+    /// same reason. Runs on every unit-cycle of a debug build, so every
+    /// debug test run checks the masks.
+    #[cfg(debug_assertions)]
+    fn check_probe(
+        &self,
+        u: usize,
+        now: u64,
+        program: &Program,
+        chosen: Option<usize>,
+        reason: StallReason,
+    ) {
+        let lsu_full = self.lsu.len() >= self.cfg.lsu_queue;
+        let sfu_busy = now < self.sfu_free_at;
+        let (mut saw_valid, mut saw_ready, mut pick) = (false, false, None);
+        for &w in &self.order_bufs[u] {
+            let warp = &self.warps[w];
+            if !warp.valid || warp.at_barrier || warp.finished || now < warp.ibuf_ready_at {
+                continue;
+            }
+            saw_valid = true;
+            let instr = program.fetch(warp.simt.reconverged_pc());
+            if !warp.scoreboard.ready(instr)
+                || (matches!(instr, Instr::Exit | Instr::Bar { .. })
+                    && warp.scoreboard.any_pending())
+            {
+                continue;
+            }
+            saw_ready = true;
+            let busy = match instr.pipe_class() {
+                PipeClass::Alu | PipeClass::Ctrl => false,
+                PipeClass::Sfu => sfu_busy,
+                PipeClass::Mem => lsu_full,
+            };
+            if !busy {
+                pick = Some(w);
+                break;
+            }
+        }
+        assert_eq!(pick, chosen, "SM {} unit {u} cycle {now}: mask probe picked another warp", self.id);
+        if pick.is_none() {
+            let want = if !saw_valid {
+                StallReason::Idle
+            } else if saw_ready {
+                StallReason::Pipeline
+            } else {
+                StallReason::Scoreboard
+            };
+            assert_eq!(reason, want, "SM {} unit {u} cycle {now}: mask probe stall reason", self.id);
+        }
     }
 
     /// Serialize all live microarchitectural state into `w`.
@@ -1539,23 +1680,28 @@ mod tests {
                 .launch_tb(global_index, self.now, self.policy.as_mut(), true)
         }
 
+        /// Advance one cycle, appending the TBs it finished to `finished`.
+        fn step(&mut self, finished: &mut Vec<u32>) {
+            let mut rep = TickReport::default();
+            self.mem.tick(self.now);
+            self.sm.tick(
+                self.now,
+                &mut self.gmem,
+                &mut self.mem,
+                self.policy.as_mut(),
+                true,
+                &mut rep,
+            );
+            finished.extend(rep.finished_tbs);
+            self.now += 1;
+        }
+
         /// Tick until the SM is quiescent; returns (cycles, finished TBs).
         fn run(&mut self, limit: u64) -> (u64, Vec<u32>) {
             let mut finished = Vec::new();
             let start = self.now;
             while self.sm.busy() {
-                let mut rep = TickReport::default();
-                self.mem.tick(self.now);
-                self.sm.tick(
-                    self.now,
-                    &mut self.gmem,
-                    &mut self.mem,
-                    self.policy.as_mut(),
-                    true,
-                    &mut rep,
-                );
-                finished.extend(rep.finished_tbs);
-                self.now += 1;
+                self.step(&mut finished);
                 assert!(self.now - start < limit, "SM did not quiesce in {limit} cycles");
             }
             (self.now - start, finished)
@@ -1864,6 +2010,163 @@ mod tests {
                 assert_eq!(rig.gmem.read(i * 4), i as u32, "seed {seed} thread {i}");
             }
         }
+    }
+
+    /// A GTO rig with a one-entry LSU queue running a kernel whose warps
+    /// keep reaching ready SFU and global-memory instructions while that
+    /// queue is full or the SFU busy: the structural memo's workload.
+    /// `launch` puts its 4 TBs on the SM.
+    fn memo_rig(launch: bool) -> Rig {
+        let mut gmem = GlobalMem::new(1 << 22);
+        let buf = gmem.alloc(4 * 512);
+        let mut b = ProgramBuilder::new("sfu_lsu_mix");
+        let (g, a, v, s, t, i) = (b.reg(), b.reg(), b.reg(), b.reg(), b.reg(), b.reg());
+        let p = b.pred();
+        b.global_tid(g);
+        b.buf_addr(a, 0, g, 0);
+        b.mov(s, Src::imm_f32(0.5));
+        b.for_loop(i, Src::Imm(0), Src::Imm(6), p, |b, _| {
+            b.sfu(pro_isa::SfuOp::Sin, t, s);
+            b.ld_global(v, a, 0);
+            b.sfu(pro_isa::SfuOp::Cos, s, s);
+            b.st_global(g, a, 0);
+        });
+        b.exit();
+        let k = Kernel::new(
+            b.build().unwrap(),
+            LaunchConfig::linear(4, 128),
+            vec![buf as u32],
+        );
+        let mut rig = Rig::new(&k, SchedulerKind::Gto);
+        rig.sm = Sm::new(
+            0,
+            SmConfig {
+                lsu_queue: 1,
+                ..SmConfig::gtx480()
+            },
+        );
+        rig.sm.begin_kernel(&k);
+        rig.gmem = gmem;
+        if launch {
+            for t in 0..4 {
+                rig.launch(t);
+            }
+        }
+        rig
+    }
+
+    /// Memoized ready warps of a full pipe this cycle: what the probe
+    /// dismisses with one bit test instead of a scoreboard evaluation.
+    fn memo_skippable(sm: &Sm, now: u64) -> (u32, u32) {
+        let mem = if sm.lsu.len() >= sm.cfg.lsu_queue {
+            sm.mem_ready_mask
+        } else {
+            0
+        };
+        let sfu = if now < sm.sfu_free_at {
+            sm.sfu_ready_mask
+        } else {
+            0
+        };
+        (
+            (mem & sm.cands_mask).count_ones(),
+            (sfu & sm.cands_mask).count_ones(),
+        )
+    }
+
+    /// The structural memo must really dismiss warps — unit-cycles find
+    /// memoized ready warps behind a full LSU queue and a busy SFU — and
+    /// must leave the simulated counters exactly where the walk that
+    /// re-evaluated every warp put them (values recorded from it).
+    #[test]
+    fn structural_memo_skips_warps_and_keeps_stats() {
+        let mut rig = memo_rig(true);
+        let (mut mem_skips, mut sfu_skips) = (0, 0);
+        let mut finished = Vec::new();
+        while rig.sm.busy() {
+            let (m, f) = memo_skippable(&rig.sm, rig.now);
+            mem_skips += m;
+            sfu_skips += f;
+            rig.step(&mut finished);
+            assert!(rig.now < 1_000_000, "SM did not quiesce");
+        }
+        assert_eq!(finished.len(), 4);
+        assert!(
+            mem_skips > 0 && sfu_skips > 0,
+            "memo never skipped: {mem_skips} {sfu_skips}"
+        );
+        let s = &rig.sm.stats;
+        assert_eq!(rig.now, 1726);
+        assert_eq!(
+            (s.issued, s.idle, s.scoreboard, s.pipeline, s.unit_cycles),
+            (784, 681, 451, 1536, 3452)
+        );
+        assert_eq!(
+            (
+                s.instructions,
+                s.thread_instructions,
+                s.wld_cycles,
+                s.tbs_completed
+            ),
+            (784, 25088, 3198, 4)
+        );
+        assert_eq!((s.ready_warp_sum, s.ready_samples), (187, 54));
+    }
+
+    /// Pausing while the LSU queue is full behind memoized ready warps and
+    /// resuming into a fresh SM (memo and fetched masks restart empty in
+    /// `rebuild_issue_masks`) is bit-identical to the uninterrupted run.
+    #[test]
+    fn restore_with_live_memo_bits_is_bit_identical() {
+        let mut straight = memo_rig(true);
+        let (_, straight_done) = straight.run(1_000_000);
+
+        let mut rig = memo_rig(true);
+        let mut finished = Vec::new();
+        while memo_skippable(&rig.sm, rig.now).0 == 0 || rig.now < 100 {
+            rig.step(&mut finished);
+            assert!(rig.sm.busy(), "never paused with memo bits live");
+        }
+        let (mut ws, mut wm, mut wp) = (Writer::new(), Writer::new(), Writer::new());
+        rig.sm.save_snapshot(&mut ws);
+        rig.mem.save_snapshot(&mut wm);
+        rig.policy.save_state(&mut wp);
+
+        let mut resumed = memo_rig(false);
+        resumed
+            .sm
+            .restore_snapshot(&mut Reader::new(&ws.into_bytes()))
+            .unwrap();
+        resumed
+            .mem
+            .restore_snapshot(&mut Reader::new(&wm.into_bytes()))
+            .unwrap();
+        resumed
+            .policy
+            .load_state(&mut Reader::new(&wp.into_bytes()))
+            .unwrap();
+        resumed.gmem = rig.gmem.clone();
+        resumed.now = rig.now;
+        assert_eq!(
+            (
+                resumed.sm.mem_ready_mask,
+                resumed.sm.sfu_ready_mask,
+                resumed.sm.fetched_mask
+            ),
+            (0, 0, 0),
+            "derived masks restart empty"
+        );
+        let (_, rest) = resumed.run(1_000_000);
+        finished.extend(rest);
+
+        assert_eq!(finished, straight_done);
+        assert_eq!(resumed.now, straight.now);
+        assert_eq!(resumed.sm.stats, straight.sm.stats);
+        assert_eq!(resumed.mem.stats(), straight.mem.stats());
+        assert_eq!(
+            resumed.gmem.read_slice(0, 1 << 12),
+            straight.gmem.read_slice(0, 1 << 12)
+        );
     }
 
     #[test]

@@ -137,28 +137,34 @@ impl HostProf {
 
 /// Aggregated incremental-issue-path counters across SMs (DESIGN.md §15):
 /// how often a unit-cycle reused the previous cycle's scheduler order
-/// verbatim vs. recomputing it, and how many order-walk probes the warp
-/// ready-mask short-circuited.
+/// verbatim vs. recomputing it, how many order entries the probe's warp
+/// masks dismissed with a bit test, and how many warps it actually had to
+/// evaluate against the scoreboard.
 ///
 /// Like every `host/*` metric this observes the *simulator*, not the
 /// simulated GPU: the counts are deterministic for a fixed run but sit
 /// outside the snapshot/byte-compare boundary.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IssueProf {
     /// Unit-cycles that reused the cached order.
     pub orders_reused: u64,
     /// Unit-cycles that called `order()`.
     pub orders_recomputed: u64,
-    /// Warp probes skipped by the scoreboard-wait memo.
+    /// Warps skipped by any mask: not eligible, not fetched, memoized
+    /// scoreboard wait, or memoized ready behind a full pipe — including
+    /// whole orders dismissed when no warp of the unit could issue.
     pub mask_skips: u64,
+    /// Warps whose fetched instruction was evaluated against the scoreboard.
+    pub probe_evals: u64,
 }
 
 impl IssueProf {
-    /// Fold one SM's `(reused, recomputed, skips)` triple in.
-    pub fn add(&mut self, reused: u64, recomputed: u64, skips: u64) {
-        self.orders_reused += reused;
-        self.orders_recomputed += recomputed;
-        self.mask_skips += skips;
+    /// Fold another SM's counters in.
+    pub fn merge(&mut self, o: &IssueProf) {
+        self.orders_reused += o.orders_reused;
+        self.orders_recomputed += o.orders_recomputed;
+        self.mask_skips += o.mask_skips;
+        self.probe_evals += o.probe_evals;
     }
 
     /// Publish the summed counters under `host/issue/*`. No-op when no
@@ -170,6 +176,7 @@ impl IssueProf {
         m.set_counter("host/issue/orders_reused", self.orders_reused);
         m.set_counter("host/issue/orders_recomputed", self.orders_recomputed);
         m.set_counter("host/issue/mask_skips", self.mask_skips);
+        m.set_counter("host/issue/probe_evals", self.probe_evals);
     }
 }
 
@@ -212,11 +219,18 @@ mod tests {
         let mut m = Metrics::new();
         p.publish(&mut m);
         assert!(m.is_empty(), "no unit-cycles, no host/issue/* namespace");
-        p.add(10, 2, 7);
-        p.add(5, 1, 3);
+        let sm = |reused, recomputed, skips, evals| IssueProf {
+            orders_reused: reused,
+            orders_recomputed: recomputed,
+            mask_skips: skips,
+            probe_evals: evals,
+        };
+        p.merge(&sm(10, 2, 7, 4));
+        p.merge(&sm(5, 1, 3, 2));
         p.publish(&mut m);
         assert_eq!(m.counter("host/issue/orders_reused"), Some(15));
         assert_eq!(m.counter("host/issue/orders_recomputed"), Some(3));
         assert_eq!(m.counter("host/issue/mask_skips"), Some(10));
+        assert_eq!(m.counter("host/issue/probe_evals"), Some(6));
     }
 }

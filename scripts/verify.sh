@@ -225,6 +225,18 @@ for policy in LRR GTO PRO; do
 done
 echo "ok: reuse counters published and the issue/ bench family runs"
 
+echo "== mask-only probe: probe counters + TL reference storm =="
+# The mask-only issue probe (DESIGN.md §15) publishes how many warps it
+# still evaluates against the scoreboard; the shootout must carry it.
+grep -q '"issue_probe_evals"' "$tracedir/shootout.json" || {
+    echo "ERROR: shootout.json missing the issue_probe_evals counter" >&2
+    exit 1
+}
+# TL's O(n) mask rebalance must stay lockstep-identical (orders, active
+# sets, save_state bytes) to the O(n^2) reference kept in the test.
+cargo test -q -p pro-core --test prop_tl
+echo "ok: probe counters published and TL matches its quadratic reference"
+
 echo "== docs: checkpoint CLI flags are documented =="
 for flag in checkpoint-path checkpoint-every checkpoint-delta checkpoint-keep \
     resume heartbeat; do
@@ -262,5 +274,18 @@ grep -q "order_dirty" DESIGN.md || {
     exit 1
 }
 echo "ok: the incremental issue path is documented in README, DESIGN, EXPERIMENTS"
+
+echo "== docs: mask-only probe masks are documented =="
+# DESIGN.md §15 must name every probe mask with its writers and clear
+# points (and the probe_evals counter that measures them).
+section15=$(sed -n '/^## 15\./,/^## 16\./p' DESIGN.md)
+for name in fetched_mask mem_ready_mask sfu_ready_mask sb_wait_mask \
+    host/issue/probe_evals; do
+    grep -q "$name" <<< "$section15" || {
+        echo "ERROR: DESIGN.md §15 does not document $name" >&2
+        exit 1
+    }
+done
+echo "ok: DESIGN.md §15 documents the probe masks"
 
 echo "== verify: all green =="
